@@ -14,8 +14,6 @@ from .linalg import (
     TensorElement,
     intersect_kernels,
     kernel_basis,
-    lc_add,
-    lc_scale,
     rank,
 )
 from .trees import (

@@ -11,12 +11,17 @@ undefined. Two structures live on the tensor square:
   the slot rule 1 > 1 := 1), which is the unique choice under which the
   cocommutative coproduct below extends to an algebra morphism.
 
-Three coproducts are computed by memoized recursion over the canonical
-basis splitting: the multiplicative one (semi structure), the unital
-semi-infinitesimal one (whose reduction coincides with the nonunital
-coproduct in ``coproducts``), and the cocommutative one (classical
-structure, both slots symmetric). Each has an antipode-style convolution
-inverse computed by degree recursion.
+Both structures share the same *, which multiplies slot by slot; they
+differ only in >.
+
+Three coproducts live on the unit extension. The multiplicative one and
+the cocommutative one are algebra morphisms, so each is ``eval_basis``
+into its tensor square (semi and classical structure respectively) with
+generator image 1 (x) g + g (x) 1. The unital semi-infinitesimal one (whose
+reduction coincides with the nonunital coproduct in ``coproducts``) is not
+a morphism and has its own memoized recursion over the canonical basis
+splitting. Each coproduct has an antipode-style convolution inverse
+computed by degree recursion.
 """
 
 from __future__ import annotations
@@ -24,20 +29,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from itertools import permutations
+from itertools import chain, permutations
 
 from .linalg import (
+    ZERO,
     LinComb,
     TensorElement,
     as_fraction,
-    intersect_kernels,
-    matrix_of_images,
-    rank,
+    bilinear,
+    kernel_of_operator,
+    linear_terms,
+    operator_rank,
 )
 from .freealg import (
+    AlgebraTarget,
     DiptBasis,
     decompose_basis,
     dipt_basis_of_degree,
+    eval_basis,
+    generator,
     star,
     star_basis,
     succ,
@@ -73,6 +83,17 @@ class UnitalElement:
     def __rmul__(self, c) -> "UnitalElement":
         c = as_fraction(c)
         return UnitalElement(c * self.scalar, c * self.body)
+
+    @classmethod
+    def from_terms(cls, terms) -> "UnitalElement":
+        """Accumulate (key, coeff) pairs; the UNIT key carries the scalar."""
+        body = LinComb(terms)
+        return cls(body.terms.pop(UNIT, ZERO), body)
+
+    def items(self):
+        """Terms as (key, coeff) pairs, the scalar on the UNIT key."""
+        yield UNIT, self.scalar
+        yield from self.body.items()
 
     def is_zero(self) -> bool:
         return not self.scalar and self.body.is_zero()
@@ -134,10 +155,6 @@ def semi_pair_succ(p, q):
     return None if right is None else (_u_star(p[0], q[0]), right)
 
 
-def classical_pair_star(p, q):
-    return semi_pair_star(p, q)
-
-
 def classical_pair_succ(p, q):
     left = _u_succ(p[0], q[0], doubly_unital=UNIT)
     if left is None:
@@ -147,21 +164,14 @@ def classical_pair_succ(p, q):
 
 
 def _tensor_op(pair_op):
-    def apply(p: TensorElement, q: TensorElement) -> TensorElement:
-        acc = []
-        for kp, cp in p.items():
-            for kq, cq in q.items():
-                res = pair_op(kp, kq)
-                if res is not None:
-                    acc.append((res, cp * cq))
-        return TensorElement(2, acc)
-
-    return apply
+    """Bilinear extension of a slot-pair product to arity-2 tensors."""
+    op = bilinear(pair_op)
+    return lambda p, q: TensorElement(2, op(p, q))
 
 
 semi_tensor_star = _tensor_op(semi_pair_star)
 semi_tensor_succ = _tensor_op(semi_pair_succ)
-classical_tensor_star = _tensor_op(classical_pair_star)
+classical_tensor_star = semi_tensor_star
 classical_tensor_succ = _tensor_op(classical_pair_succ)
 
 
@@ -169,23 +179,24 @@ def _pair(k1, k2) -> TensorElement:
     return TensorElement(2, {(k1, k2): 1})
 
 
-_BLACK: dict[DiptBasis, TensorElement] = {}
+def _square(tensor_star, tensor_succ) -> AlgebraTarget:
+    """Tensor square sending each generator g to 1 (x) g + g (x) 1.
+
+    Generator indices range over 0..25, as in ``freealg.gen_name``.
+    """
+    gens = {i: _pair(UNIT, generator(i)) + _pair(generator(i), UNIT) for i in range(26)}
+    return AlgebraTarget(tensor_star, tensor_succ, gens, TensorElement.zero(2))
+
+
+SEMI_SQUARE = _square(semi_tensor_star, semi_tensor_succ)
+CLASSICAL_SQUARE = _square(classical_tensor_star, classical_tensor_succ)
+
 _VAR: dict[DiptBasis, TensorElement] = {}
-_HOPF: dict[DiptBasis, TensorElement] = {}
 
 
 def blacktriangle_basis(x: DiptBasis) -> TensorElement:
-    """Multiplicative coproduct: a morphism for the semi tensor structure."""
-    cached = _BLACK.get(x)
-    if cached is None:
-        if x.degree == 1:
-            cached = _pair(UNIT, x) + _pair(x, UNIT)
-        else:
-            op, left, right = decompose_basis(x)
-            tensor_op = semi_tensor_star if op == "star" else semi_tensor_succ
-            cached = tensor_op(blacktriangle_basis(left), blacktriangle_basis(right))
-        _BLACK[x] = cached
-    return cached
+    """Multiplicative coproduct: the morphism into the semi tensor square."""
+    return eval_basis(x, SEMI_SQUARE)
 
 
 def vartriangle_basis(x: DiptBasis) -> TensorElement:
@@ -207,25 +218,14 @@ def vartriangle_basis(x: DiptBasis) -> TensorElement:
 
 
 def hopf_delta_basis(x: DiptBasis) -> TensorElement:
-    """Cocommutative coproduct: a morphism for the classical tensor structure."""
-    cached = _HOPF.get(x)
-    if cached is None:
-        if x.degree == 1:
-            cached = _pair(UNIT, x) + _pair(x, UNIT)
-        else:
-            op, left, right = decompose_basis(x)
-            tensor_op = classical_tensor_star if op == "star" else classical_tensor_succ
-            cached = tensor_op(hopf_delta_basis(left), hopf_delta_basis(right))
-        _HOPF[x] = cached
-    return cached
+    """Cocommutative coproduct: the morphism into the classical tensor square."""
+    return eval_basis(x, CLASSICAL_SQUARE)
 
 
 def _lift(cop_basis):
     def apply(x: UnitalElement) -> TensorElement:
-        out = x.scalar * _pair(UNIT, UNIT)
-        for key, c in x.body.items():
-            out = out + c * cop_basis(key)
-        return out
+        unit_term = ((UNIT, UNIT), x.scalar)
+        return TensorElement(2, chain([unit_term], linear_terms(cop_basis, x.body)))
 
     return apply
 
@@ -243,9 +243,9 @@ def reduced(cop, x) -> TensorElement:
         body = x.body
     else:
         body = x
-    out = cop(UnitalElement.of(body))
-    for key, c in body.items():
-        out = out - c * (_pair(UNIT, key) + _pair(key, UNIT))
+    unit_terms = [((UNIT, key), c) for key, c in body.items()]
+    unit_terms += [((key, UNIT), c) for key, c in body.items()]
+    out = cop(UnitalElement.of(body)) - TensorElement(2, unit_terms)
     for (k1, k2) in out.terms.terms:
         if k1 == UNIT or k2 == UNIT:
             raise ValueError("reduction left a unit term behind")
@@ -262,24 +262,23 @@ def tau(te: TensorElement) -> TensorElement:
     return TensorElement(2, (((b, a), c) for (a, b), c in te.items()))
 
 
-def coproduct_matrix(cop_basis, n: int):
-    """Matrix of the reduced coproduct on the degree-n component."""
-    basis = dipt_basis_of_degree(n)
-    images = [reduced_basis(cop_basis, b).terms for b in basis]
-    matrix, _ = matrix_of_images(images)
-    return matrix, basis
-
-
 def prim_2as(n: int) -> tuple[int, list[LinComb]]:
-    """Joint kernel of both reduced coproducts on the degree-n component."""
+    """Joint kernel of both reduced coproducts on the degree-n component.
+
+    It is the kernel of the direct sum of the two reduced coproducts, whose
+    image of b carries each coproduct's terms under its own tag.
+    """
     basis = dipt_basis_of_degree(n)
-    ms = []
-    for cop_basis in (vartriangle_basis, blacktriangle_basis):
-        images = [reduced_basis(cop_basis, b).terms for b in basis]
-        matrix, _ = matrix_of_images(images)
-        ms.append(matrix)
-    vecs = intersect_kernels(ms)
-    return len(vecs), [v.map_keys(lambda j: basis[j]) for v in vecs]
+    images = (
+        LinComb(
+            ((tag, key), c)
+            for tag, cop_basis in enumerate((vartriangle_basis, blacktriangle_basis))
+            for key, c in reduced_basis(cop_basis, b).items()
+        )
+        for b in basis
+    )
+    vecs = kernel_of_operator(basis, images)
+    return len(vecs), vecs
 
 
 # ---------------------------------------------------------------------------
@@ -292,27 +291,24 @@ _SPRIME: dict[DiptBasis, LinComb] = {}
 def _antipode_basis(key: DiptBasis, cop_basis, memo) -> LinComb:
     cached = memo.get(key)
     if cached is None:
-        out = -1 * LinComb.basis(key)
-        for (a, b), c in reduced_basis(cop_basis, key).items():
-            out = out - c * star(_antipode_basis(a, cop_basis, memo), LinComb.basis(b))
-        memo[key] = out
-        cached = out
+        terms = (
+            (star_basis(k, b), -c * d)
+            for (a, b), c in reduced_basis(cop_basis, key).items()
+            for k, d in _antipode_basis(a, cop_basis, memo).items()
+        )
+        cached = memo[key] = LinComb(chain([(key, -1)], terms))
     return cached
 
 
 def antipode_S(x: UnitalElement) -> UnitalElement:
     """Convolution inverse of the identity for the multiplicative coproduct."""
-    body = LinComb()
-    for key, c in x.body.items():
-        body = body + c * _antipode_basis(key, blacktriangle_basis, _S)
+    body = LinComb(linear_terms(lambda key: _antipode_basis(key, blacktriangle_basis, _S), x.body))
     return UnitalElement(x.scalar, body)
 
 
 def antipode_Sprime(x: UnitalElement) -> UnitalElement:
     """Convolution inverse for the semi-infinitesimal coproduct."""
-    body = LinComb()
-    for key, c in x.body.items():
-        body = body + c * _antipode_basis(key, vartriangle_basis, _SPRIME)
+    body = LinComb(linear_terms(lambda key: _antipode_basis(key, vartriangle_basis, _SPRIME), x.body))
     return UnitalElement(x.scalar, body)
 
 
@@ -324,14 +320,14 @@ def _to_unital(key) -> UnitalElement:
 
 def convolve(f, cop, x: UnitalElement, side: str = "left") -> UnitalElement:
     """star(f (x) id) cop (x), or star(id (x) f) for side='right'."""
-    out = UnitalElement.unit(0)
-    for (a, b), c in cop(x).items():
+
+    def term(pair) -> UnitalElement:
+        a, b = pair
         if side == "left":
-            term = unital_star(f(_to_unital(a)), _to_unital(b))
-        else:
-            term = unital_star(_to_unital(a), f(_to_unital(b)))
-        out = out + c * term
-    return out
+            return unital_star(f(_to_unital(a)), _to_unital(b))
+        return unital_star(_to_unital(a), f(_to_unital(b)))
+
+    return UnitalElement.from_terms(linear_terms(term, cop(x)))
 
 
 def antipode_identity_holds(x: UnitalElement, which: str = "S") -> bool:
@@ -366,10 +362,8 @@ def com_symmetrize(word: tuple[int, ...]) -> UnitalElement:
     if m < 1:
         raise ValueError("words are nonempty")
     coeff = Fraction(1, factorial(m))
-    body = LinComb()
-    for perm in permutations(word):
-        body = body + coeff * LinComb.basis(DiptBasis(Forest((LEAF,) * m), perm))
-    return UnitalElement.of(body)
+    forest = Forest((LEAF,) * m)
+    return UnitalElement.of(LinComb((DiptBasis(forest, perm), coeff) for perm in permutations(word)))
 
 
 def hopf_reduced_iter(x: LinComb, n: int) -> TensorElement:
@@ -382,18 +376,17 @@ def hopf_reduced_iter(x: LinComb, n: int) -> TensorElement:
 
 def com_corestrict(x: LinComb) -> LinComb:
     """Corestriction onto symmetric words (sorted letter multisets)."""
-    out = LinComb()
+    acc = []
     for key, c in x.items():
         m = key.degree
         if m == 1:
-            out = out + LinComb.basis((key.word[0],), c)
+            acc.append(((key.word[0],), c))
             continue
         coeff = Fraction(1, factorial(m))
         for tup, d in hopf_reduced_iter(LinComb.basis(key), m - 1).items():
             if all(k.degree == 1 for k in tup):
-                word = tuple(sorted(k.word[0] for k in tup))
-                out = out + LinComb.basis(word, c * d * coeff)
-    return out
+                acc.append((tuple(sorted(k.word[0] for k in tup)), c * d * coeff))
+    return LinComb(acc)
 
 
 def primcom_dims(max_n: int) -> tuple[list[int], list[int]]:
@@ -407,8 +400,7 @@ def primcom_dims(max_n: int) -> tuple[list[int], list[int]]:
     dims = []
     for n in range(1, max_n + 1):
         basis = dipt_basis_of_degree(n)
-        images = [reduced_basis(hopf_delta_basis, b).terms for b in basis]
-        matrix, _ = matrix_of_images(images)
-        dims.append(matrix.ncols - rank(matrix))
+        images = (reduced_basis(hopf_delta_basis, b).terms for b in basis)
+        dims.append(len(basis) - operator_rank(images))
     oracle = symmetric_inverse_dims(large_schroeder(max_n), max_n)
     return dims, oracle

@@ -202,10 +202,18 @@ def cmd_dynamics(config: RunConfig, grammar_path: str, start: str, steps: int, f
     return 0
 
 
+def fraction(text: str) -> Fraction:
+    """argparse type for p/q values: a zero denominator is a usage error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--max-degree", type=int, default=5, metavar="N")
-    common.add_argument("--t", type=Fraction, default=Fraction(1), metavar="p/q",
+    common.add_argument("--t", type=fraction, default=Fraction(1), metavar="p/q",
                         help="deformation weight of the coproduct (default 1)")
     common.add_argument("--seed", type=int, default=0, metavar="S")
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")

@@ -26,15 +26,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import chain
+from typing import Iterator, Sequence
 
 from .linalg import (
     LinComb,
-    SparseMatrix,
     TensorElement,
-    kernel_basis,
-    matrix_of_images,
-    rank,
+    kernel_of_operator,
+    linear_terms,
+    operator_rank,
+    tensor_product,
 )
 from .freealg import (
     DiptBasis,
@@ -72,23 +73,20 @@ def delta_basis(x: DiptBasis, t: Fraction = Fraction(1)) -> TensorElement:
         out = TensorElement.zero(2)
     else:
         op, left, right = decompose_basis(x)
-        terms = LinComb()
-        for (a, b), c in delta_basis(left, t).items():
-            terms = terms + LinComb.basis((a, apply_op_basis(op, b, right)), c)
-        for (a, b), c in delta_basis(right, t).items():
-            terms = terms + LinComb.basis((star_basis(left, a), b), c)
-        if t:
-            terms = terms + LinComb.basis((left, right), t)
-        out = TensorElement(2, terms)
+        out = TensorElement(
+            2,
+            chain(
+                (((a, apply_op_basis(op, b, right)), c) for (a, b), c in delta_basis(left, t).items()),
+                (((star_basis(left, a), b), c) for (a, b), c in delta_basis(right, t).items()),
+                [((left, right), t)],
+            ),
+        )
     _DELTA[key] = out
     return out
 
 
 def delta(x: LinComb, params: CoproductParams = DEFAULT) -> TensorElement:
-    out = TensorElement.zero(2)
-    for key, c in x.items():
-        out = out + c * delta_basis(key, params.t)
-    return out
+    return TensorElement(2, linear_terms(lambda key: delta_basis(key, params.t), x))
 
 
 def semi_inf_rhs(op: str, x: LinComb, y: LinComb, params: CoproductParams = DEFAULT) -> TensorElement:
@@ -121,28 +119,25 @@ def delta_iter(x: LinComb, n: int, params: CoproductParams = DEFAULT) -> TensorE
     return out
 
 
-def delta_matrix(r: int, n: int, params: CoproductParams = DEFAULT) -> tuple[SparseMatrix, list[DiptBasis]]:
-    """Matrix of the r-fold iterated coproduct on the degree-n component."""
-    basis = dipt_basis_of_degree(n)
-    images = [delta_iter(LinComb.basis(b), r, params).terms for b in basis]
-    matrix, _ = matrix_of_images(images)
-    return matrix, basis
+def _delta_iter_images(r: int, basis: list[DiptBasis], params: CoproductParams) -> Iterator[LinComb]:
+    """Images of the r-fold iterated coproduct on an ordered basis."""
+    return (delta_iter(LinComb.basis(b), r, params).terms for b in basis)
 
 
 def filtration_dim(r: int, n: int, params: CoproductParams = DEFAULT) -> int:
     """Dimension of the r-th filtration step within degree n."""
     if r < 1 or n < 1:
         raise ValueError("filtration level and degree must be >= 1")
+    basis = dipt_basis_of_degree(n)
     if r >= n:
-        return len(dipt_basis_of_degree(n))
-    matrix, _ = delta_matrix(r, n, params)
-    return len(kernel_basis(matrix))
+        return len(basis)
+    return len(basis) - operator_rank(_delta_iter_images(r, basis, params))
 
 
 def prim_basis(n: int, params: CoproductParams = DEFAULT) -> list[LinComb]:
     """Echelon basis of the coproduct kernel on the degree-n component."""
-    matrix, basis = delta_matrix(1, n, params)
-    return [vec.map_keys(lambda j: basis[j]) for vec in kernel_basis(matrix)]
+    basis = dipt_basis_of_degree(n)
+    return kernel_of_operator(basis, _delta_iter_images(1, basis, params))
 
 
 def triangle(x: LinComb, y: LinComb) -> LinComb:
@@ -169,9 +164,7 @@ def mag_tree_to_primitive(t: PlanarTree, gen: int = 0) -> LinComb:
 
 def mag_bracket_rank(n: int) -> int:
     """Rank of the bracket images of all degree-n planar trees."""
-    images = [mag_tree_to_primitive(t) for t in enumerate_trees(n)]
-    matrix, _ = matrix_of_images(images)
-    return rank(matrix)
+    return operator_rank(mag_tree_to_primitive(t) for t in enumerate_trees(n))
 
 
 def corolla_iso_check(n: int) -> bool:
@@ -196,20 +189,17 @@ _E: dict[DiptBasis, LinComb] = {}
 
 def e_idempotent(x: LinComb) -> LinComb:
     """Projection onto primitives: e(x) = x - x1 * e(x2), recursively."""
-    out = LinComb()
-    for key, c in x.items():
-        out = out + c * _e_basis(key)
-    return out
+    return LinComb(linear_terms(_e_basis, x))
 
 
 def _e_basis(x: DiptBasis) -> LinComb:
     cached = _E.get(x)
     if cached is not None:
         return cached
-    out = LinComb.basis(x)
+    acc = [(x, 1)]
     for (a, b), c in delta_basis(x).items():
-        out = out - c * star(LinComb.basis(a), _e_basis(b))
-    _E[x] = out
+        acc.extend((star_basis(a, k), -c * d) for k, d in _e_basis(b).items())
+    out = _E[x] = LinComb(acc)
     return out
 
 
@@ -237,29 +227,25 @@ def phi_corestrict(x: LinComb) -> LinComb:
     survive, so the image of a degree-n element is a combination of
     length-n words. Satisfies phi(s_section(w)) = w.
     """
-    out = LinComb()
+    acc = []
     for key, c in x.items():
         n = key.degree
         if n == 1:
-            out = out + LinComb.basis((key.word[0],), c)
+            acc.append(((key.word[0],), c))
             continue
         for tup, d in delta_iter(LinComb.basis(key), n - 1).items():
             if all(k.degree == 1 for k in tup):
-                word = tuple(k.word[0] for k in tup)
-                out = out + LinComb.basis(word, c * d)
-    return out
+                acc.append((tuple(k.word[0] for k in tup), c * d))
+    return LinComb(acc)
 
 
 def phi_tensor(te: TensorElement) -> TensorElement:
     """Apply the corestriction to both slots of an arity-2 tensor."""
-    out = TensorElement.zero(2)
-    for (a, b), c in te.items():
-        fa = phi_corestrict(LinComb.basis(a))
-        fb = phi_corestrict(LinComb.basis(b))
-        for ka, ca in fa.items():
-            for kb, cb in fb.items():
-                out = out + (c * ca * cb) * TensorElement(2, {(ka, kb): 1})
-    return out
+    def phi_pair(key):
+        a, b = key
+        return tensor_product(phi_corestrict(LinComb.basis(a)), phi_corestrict(LinComb.basis(b)))
+
+    return TensorElement(2, linear_terms(phi_pair, te))
 
 
 @dataclass(frozen=True)

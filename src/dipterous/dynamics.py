@@ -20,11 +20,12 @@ File formats (bit-exact):
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .linalg import LinComb, TensorElement, as_fraction
+from .linalg import LinComb, TensorElement, as_fraction, bilinear, linear_terms
 
 Word = tuple[str, ...]
 WordElement = LinComb  # over Word keys
@@ -92,12 +93,7 @@ def mu(te: TensorElement) -> WordElement:
     return LinComb(((a + b), c) for (a, b), c in te.items())
 
 
-def concat(x: WordElement, y: WordElement) -> WordElement:
-    out = LinComb()
-    for wa, ca in x.items():
-        for wb, cb in y.items():
-            out = out + LinComb.basis(wa + wb, ca * cb)
-    return out
+concat = bilinear(operator.add)
 
 
 def bowtie(tbl: CoopTable, x: WordElement, y: WordElement) -> WordElement:
@@ -128,10 +124,7 @@ def as_endo(zeta: Endo | Mapping[Word, WordElement]) -> Endo:
 
 
 def apply_endo(zeta: Endo, x: WordElement) -> WordElement:
-    out = LinComb()
-    for word, c in x.items():
-        out = out + c * zeta(word)
-    return out
+    return LinComb(linear_terms(zeta, x))
 
 
 def baxter_check(zeta: Endo | Mapping, samples: Sequence[Word]) -> tuple[Word, Word] | None:

@@ -14,17 +14,23 @@ that single splitting. Variants on binary trees (with the root-gluing
 product) and the mirror-image right-handed structure, plus the
 permutative/NAP pair construction on labeled rooted trees, live here too.
 
+``eval_basis`` evaluates a basis element through that splitting into any
+``AlgebraTarget``: the unique morphism for both operations that sends each
+generator to a given image. Morphic coproducts elsewhere are this
+evaluation into a tensor square. Each target carries its own memo of
+images, so two targets never share entries.
+
 Memo tables are keyed by canonical basis keys; writes are idempotent, so
 concurrent reads and racing writes are safe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import Callable, Mapping, Sequence
 
-from .linalg import LinComb
+from .linalg import LinComb, bilinear
 from .series import catalan_series, geometric_compose, little_schroeder
 from .trees import (
     LEAF,
@@ -130,21 +136,9 @@ def prec_basis(a: DiptBasis, b: DiptBasis) -> DiptBasis:
     return DiptBasis(Forest((tree,)), a.word + b.word)
 
 
-def _bilinear(op: Callable[[DiptBasis, DiptBasis], DiptBasis]):
-    def apply(x: LinComb, y: LinComb) -> LinComb:
-        out = LinComb()
-        for ka, ca in x.items():
-            for kb, cb in y.items():
-                out = out + LinComb.basis(op(ka, kb), ca * cb)
-        return out
-
-    return apply
-
-
-star = _bilinear(star_basis)
-succ = _bilinear(succ_basis)
-rdipt_star = star
-rdipt_prec = _bilinear(prec_basis)
+star = bilinear(star_basis)
+succ = bilinear(succ_basis)
+rdipt_prec = bilinear(prec_basis)
 
 
 _DECOMP: dict[DiptBasis, tuple[str, DiptBasis, DiptBasis]] = {}
@@ -217,28 +211,35 @@ def reflect(x: LinComb) -> LinComb:
 
 @dataclass(frozen=True)
 class AlgebraTarget:
-    """A concrete algebra to evaluate into: two operations plus generator images."""
+    """A concrete algebra to evaluate into: two operations plus generator images.
+
+    The operations must be pure and the generator images fixed, because
+    ``eval_basis`` memoizes its images in the target's own ``memo``.
+    """
 
     star: Callable
     succ: Callable
     generators: Mapping[int, object]
     zero: object
+    memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def eval_basis(x: DiptBasis, target: AlgebraTarget):
+    """Image of a basis element under the unique two-product morphism into
+    ``target`` that sends each generator to its given image."""
     if x.degree == 1:
         return target.generators[x.word[0]]
-    op, left, right = decompose_basis(x)
-    fn = target.star if op == OP_STAR else target.succ
-    return fn(eval_basis(left, target), eval_basis(right, target))
+    cached = target.memo.get(x)
+    if cached is None:
+        op, left, right = decompose_basis(x)
+        fn = target.star if op == OP_STAR else target.succ
+        cached = target.memo[x] = fn(eval_basis(left, target), eval_basis(right, target))
+    return cached
 
 
 def eval_universal(x: LinComb, target: AlgebraTarget):
     """Linear extension of the generator assignment respecting both operations."""
-    out = target.zero
-    for key, c in x.items():
-        out = out + c * eval_basis(key, target)
-    return out
+    return sum((c * eval_basis(key, target) for key, c in x.items()), target.zero)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +281,8 @@ def ldipt_succ_basis(a: LDiptBasis, b: LDiptBasis) -> LDiptBasis:
     return LDiptBasis(tree, a.word + b.word)
 
 
-ldipt_nwarrow = _bilinear(ldipt_nwarrow_basis)
-ldipt_succ = _bilinear(ldipt_succ_basis)
+ldipt_nwarrow = bilinear(ldipt_nwarrow_basis)
+ldipt_succ = bilinear(ldipt_succ_basis)
 
 
 def ldipt_basis_of_degree(n: int, num_gens: int = 1) -> list[LDiptBasis]:
@@ -319,10 +320,7 @@ def ldipt_eval_basis(x: LDiptBasis, target: AlgebraTarget):
 
 
 def ldipt_eval_universal(x: LinComb, target: AlgebraTarget):
-    out = target.zero
-    for key, c in x.items():
-        out = out + c * ldipt_eval_basis(key, target)
-    return out
+    return sum((c * ldipt_eval_basis(key, target) for key, c in x.items()), target.zero)
 
 
 def ldipt_reflect_tree(t: BinaryTree) -> BinaryTree:
@@ -368,8 +366,8 @@ def perm_nap_prec_basis(a: PermNapBasis, b: PermNapBasis) -> PermNapBasis:
     return PermNapBasis(head)
 
 
-perm_nap_star = _bilinear(perm_nap_star_basis)
-perm_nap_prec = _bilinear(perm_nap_prec_basis)
+perm_nap_star = bilinear(perm_nap_star_basis)
+perm_nap_prec = bilinear(perm_nap_prec_basis)
 
 
 # ---------------------------------------------------------------------------

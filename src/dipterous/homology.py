@@ -17,15 +17,18 @@ symbol uses it except at the last position, where the one-sided product
 applies. The differential is the alternating face sum; a contracting
 homotopy peels the last slot through the canonical basis splitting and
 certifies exactness above degree one, i.e. Betti numbers (1, 0, 0, ...)
-in arity 1 and zero in higher arities.
+in arity 1 and zero in higher arities. Each Betti number is
+dim C - rank(d here) - rank(d one arity up) on a graded piece, with every
+rank taken once per report from the operator's basis images.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterable
 
-from .linalg import LinComb, matrix_of_images, rank
+from .linalg import LinComb, bilinear, linear_terms, operator_rank
 from .freealg import (
     DiptBasis,
     decompose_basis,
@@ -68,35 +71,24 @@ def qn_generator(i: int = 0) -> QNBasis:
     return QNBasis((i,), None)
 
 
-def qn_star_basis(a: QNBasis, b: QNBasis) -> LinComb:
+def qn_star_basis(a: QNBasis, b: QNBasis) -> QNBasis | None:
     if a.tag is None and b.tag is None:
-        return LinComb.basis(QNBasis(a.word + b.word, None))
-    return LinComb()
+        return QNBasis(a.word + b.word, None)
+    return None
 
 
-def qn_succ_basis(a: QNBasis, b: QNBasis) -> LinComb:
+def qn_succ_basis(a: QNBasis, b: QNBasis) -> QNBasis | None:
     if a.tag is not None:
-        return LinComb()
+        return None
     if b.tag is not None and len(b.word) >= 2:
-        return LinComb.basis(QNBasis(a.word + b.word, b.tag))
+        return QNBasis(a.word + b.word, b.tag)
     if b.tag is None and len(b.word) == 1:
-        return LinComb.basis(QNBasis(a.word, b.word[0]))
-    return LinComb()
+        return QNBasis(a.word, b.word[0])
+    return None
 
 
-def _qn_bilinear(op: Callable[[QNBasis, QNBasis], LinComb]):
-    def apply(x: LinComb, y: LinComb) -> LinComb:
-        out = LinComb()
-        for ka, ca in x.items():
-            for kb, cb in y.items():
-                out = out + (ca * cb) * op(ka, kb)
-        return out
-
-    return apply
-
-
-qn_star = _qn_bilinear(qn_star_basis)
-qn_succ = _qn_bilinear(qn_succ_basis)
+qn_star = bilinear(qn_star_basis)
+qn_succ = bilinear(qn_succ_basis)
 
 
 def qn_basis_of_degree(n: int, num_gens: int = 1) -> list[QNBasis]:
@@ -212,12 +204,11 @@ def face(i: int, c: LinComb) -> LinComb:
 
 def differential(c: LinComb) -> LinComb:
     """Alternating sum of faces; zero on arity-1 chains."""
-    out = LinComb()
-    for key, coeff in c.items():
-        for i in range(1, key.arity):
-            sign = 1 if i % 2 == 1 else -1
-            out = out + LinComb.basis(face_basis(i, key), sign * coeff)
-    return out
+    return LinComb(
+        (face_basis(i, key), coeff if i % 2 == 1 else -coeff)
+        for key, coeff in c.items()
+        for i in range(1, key.arity)
+    )
 
 
 def homotopy_basis(key: ChainKey) -> LinComb:
@@ -247,32 +238,22 @@ def homotopy_basis(key: ChainKey) -> LinComb:
 
 
 def homotopy(c: LinComb) -> LinComb:
-    out = LinComb()
-    for key, coeff in c.items():
-        out = out + coeff * homotopy_basis(key)
-    return out
+    return LinComb(linear_terms(homotopy_basis, c))
 
 
-def differential_matrix(arity: int, weight: int):
-    """Matrix of d on the (arity, weight) piece; columns follow chain_basis."""
-    basis = chain_basis(arity, weight)
-    images = [differential(LinComb.basis(b)) for b in basis]
-    matrix, _ = matrix_of_images(images)
-    return matrix, basis
+def _differential_rank(d: Callable[[LinComb], LinComb], arity: int, weight: int) -> int:
+    """Rank of d on the (arity, weight) piece; d vanishes in arity 1."""
+    if arity == 1:
+        return 0
+    return operator_rank(d(LinComb.basis(b)) for b in chain_basis(arity, weight))
 
 
 def homology_rank(arity: int, weight: int) -> int:
     """dim ker(d) - rank(d one arity up) on the graded piece, exactly."""
     if arity < 1 or weight < arity:
         raise ValueError("need arity >= 1 and weight >= arity")
-    dim_here = len(chain_basis(arity, weight))
-    if arity == 1:
-        kernel_dim = dim_here
-    else:
-        matrix, _ = differential_matrix(arity, weight)
-        kernel_dim = dim_here - rank(matrix)
-    above, _ = differential_matrix(arity + 1, weight)
-    return kernel_dim - rank(above)
+    kernel_dim = len(chain_basis(arity, weight)) - _differential_rank(differential, arity, weight)
+    return kernel_dim - _differential_rank(differential, arity + 1, weight)
 
 
 @dataclass(frozen=True)
@@ -341,20 +322,15 @@ def koszul_report(
                     homotopy_ok = False
                     witness = witness or f"dh + hd != id on {b}"
 
+    # Each piece's rank serves as "here" at its arity and "above" one arity
+    # down, so it is taken once and kept (as an int) for the whole report.
+    d_rank = cache(lambda arity, weight: _differential_rank(d, arity, weight))
     pieces = []
     betti_ok = True
     for arity in range(1, max_arity + 1):
         for weight in range(arity, weight_cap + 1):
-            basis = chain_basis(arity, weight)
-            if arity == 1:
-                kernel_dim = len(basis)
-            else:
-                images = [d(LinComb.basis(b)) for b in basis]
-                matrix, _ = matrix_of_images(images)
-                kernel_dim = len(basis) - rank(matrix)
-            above = chain_basis(arity + 1, weight)
-            above_matrix, _ = matrix_of_images([d(LinComb.basis(b)) for b in above])
-            image_rank = rank(above_matrix)
+            kernel_dim = len(chain_basis(arity, weight)) - d_rank(arity, weight)
+            image_rank = d_rank(arity + 1, weight)
             betti = kernel_dim - image_rank
             expected = 1 if (arity == 1 and weight == 1) else 0
             if betti != expected:

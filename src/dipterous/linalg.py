@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Scalar = Fraction | int
 
@@ -137,12 +137,33 @@ class LinComb:
         return out
 
 
-def lc_add(a: LinComb, b: LinComb) -> LinComb:
-    return a + b
+def linear_terms(fn: Callable, x) -> Iterator[tuple]:
+    """Terms of the linear extension of ``fn`` applied to ``x``.
+
+    ``fn`` sends a basis key to a LinComb or TensorElement; the stream of
+    ``(key, coeff)`` pairs of sum c * fn(k) over the terms c k of ``x`` is
+    meant to be accumulated in one LinComb or TensorElement construction.
+    """
+    return ((k, c * d) for key, c in x.items() for k, d in fn(key).items())
 
 
-def lc_scale(c: Scalar, a: LinComb) -> LinComb:
-    return as_fraction(c) * a
+def bilinear(op: Callable) -> Callable[..., LinComb]:
+    """Bilinear extension of a product given on basis keys.
+
+    ``op(a, b)`` returns the key of the product of two basis keys, or None
+    when that product is zero. The extension takes two LinCombs (or
+    TensorElements) and returns a LinComb.
+    """
+
+    def apply(x, y) -> LinComb:
+        return LinComb(
+            (key, ca * cb)
+            for ka, ca in x.items()
+            for kb, cb in y.items()
+            if (key := op(ka, kb)) is not None
+        )
+
+    return apply
 
 
 class TensorElement:
@@ -208,13 +229,12 @@ class TensorElement:
 
         The output arity is ``self.arity - 1 + out_arity``.
         """
-        acc = LinComb()
+        acc = []
         for key, c in self.terms.items():
             image = fn(key[slot])
             if image.arity != out_arity:
                 raise ValueError("slot image has unexpected arity")
-            for sub, d in image.items():
-                acc = acc + LinComb.basis(key[:slot] + sub + key[slot + 1 :], c * d)
+            acc.extend((key[:slot] + sub + key[slot + 1 :], c * d) for sub, d in image.items())
         return TensorElement(self.arity - 1 + out_arity, acc)
 
     def to_json(self, key_str=canon) -> dict:
@@ -235,13 +255,12 @@ class TensorElement:
         return " + ".join(lines)
 
 
+_pairs = bilinear(lambda ka, kb: (ka, kb))
+
+
 def tensor_product(a: LinComb, b: LinComb) -> TensorElement:
     """Pair two linear combinations into an arity-2 tensor."""
-    terms = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            terms[(ka, kb)] = ca * cb
-    return TensorElement(2, terms)
+    return TensorElement(2, _pairs(a, b))
 
 
 @dataclass(frozen=True)
@@ -389,7 +408,21 @@ def matrix_of_images(images: Sequence[LinComb]) -> tuple[SparseMatrix, list]:
     return SparseMatrix(len(row_keys), len(images), entries), row_keys
 
 
-def kernel_of_operator(basis: Sequence, images: Sequence[LinComb]) -> list[LinComb]:
+def _eliminate(solve, images: Iterable[LinComb]):
+    """Assemble the matrix of an operator from its images and hand it to ``solve``.
+
+    The images are released before elimination starts, so a caller that
+    passes a generator never holds them during it.
+    """
+    matrix, _ = matrix_of_images(list(images))
+    return solve(matrix)
+
+
+def operator_rank(images: Iterable[LinComb]) -> int:
+    """Rank of an operator given by the images of an ordered basis."""
+    return _eliminate(rank, images)
+
+
+def kernel_of_operator(basis: Sequence, images: Iterable[LinComb]) -> list[LinComb]:
     """Kernel of an operator given on an ordered basis, re-keyed to that basis."""
-    matrix, _ = matrix_of_images(images)
-    return [vec.map_keys(lambda j: basis[j]) for vec in kernel_basis(matrix)]
+    return [vec.map_keys(basis.__getitem__) for vec in _eliminate(kernel_basis, images)]

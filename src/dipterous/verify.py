@@ -55,7 +55,7 @@ from .freealg import (
 )
 from .homology import qn_basis_of_degree, qn_star, qn_succ
 from .series import little_schroeder
-from .trees import enumerate_nap, nap_graft
+from .trees import _nap_multisets, enumerate_nap, nap_graft
 
 
 @dataclass(frozen=True)
@@ -200,15 +200,9 @@ def _perm_nap_elements(max_total: int, labels=("v",)):
     for n in range(1, max_total + 1):
         for h in range(1, n + 1):
             for head in enumerate_nap(h, labels):
-                for tail in _nap_tail_multisets(n - h, labels):
+                for tail in _nap_multisets(n - h, labels):
                     out.append(LinComb.basis(PermNapBasis(head, tail)))
     return out
-
-
-def _nap_tail_multisets(total: int, labels):
-    from .trees import _nap_multisets
-
-    return _nap_multisets(total, labels)
 
 
 def check_perm_nap_axioms(max_total: int = 5) -> list[Check]:
@@ -342,9 +336,7 @@ def morphism_witness(cop_basis, tensor_star, tensor_succ, max_total: int) -> str
 def _random_element(rng: random.Random, degree: int, num_gens: int = 1) -> LinComb:
     basis = dipt_basis_of_degree(degree, num_gens)
     picks = rng.randint(1, min(3, len(basis)))
-    out = LinComb()
-    for _ in range(picks):
-        out = out + LinComb.basis(rng.choice(basis), Fraction(rng.randint(-3, 3)) or 1)
+    out = LinComb((rng.choice(basis), Fraction(rng.randint(-3, 3)) or 1) for _ in range(picks))
     return out if out else LinComb.basis(basis[0])
 
 

@@ -32,6 +32,14 @@ def test_dims_unknown_operad_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("bad", ["abc", "1/0"])
+def test_bad_t_is_usage_error(capsys, bad):
+    with pytest.raises(SystemExit) as exc:
+        main(["prim", "semiinf", "--t", bad])
+    assert exc.value.code == 2
+    assert "--t" in capsys.readouterr().err
+
+
 def test_prim_semiinf(capsys):
     code, out, _ = run(capsys, "prim", "semiinf", "--max-degree", "4")
     assert code == 0

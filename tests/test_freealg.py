@@ -12,6 +12,7 @@ from dipterous.freealg import (
     decompose_basis,
     dim_table,
     dipt_basis_of_degree,
+    eval_basis,
     eval_universal,
     gen_elem,
     generator,
@@ -131,6 +132,24 @@ def test_eval_universal_identity():
     for n in range(1, 5):
         for b in dipt_basis_of_degree(n):
             assert eval_universal(LinComb.basis(b), target) == LinComb.basis(b)
+
+
+def test_eval_basis_keeps_one_memo_per_target():
+    basis = [b for n in range(2, 5) for b in dipt_basis_of_degree(n)]
+    images = {"degree": lambda b: b.degree, "identity": LinComb.basis}
+    for order in (("degree", "identity"), ("identity", "degree")):
+        targets = {
+            "degree": AlgebraTarget(
+                star=lambda a, b: a + b, succ=lambda a, b: a + b, generators={0: 1}, zero=0
+            ),
+            "identity": AlgebraTarget(
+                star=star, succ=succ, generators={0: gen_elem(0)}, zero=LinComb()
+            ),
+        }
+        for name in order:
+            for b in basis:
+                assert eval_basis(b, targets[name]) == images[name](b)
+            assert set(targets[name].memo) == set(basis)
 
 
 def test_eval_universal_is_a_morphism_into_binary_trees():

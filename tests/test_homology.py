@@ -204,6 +204,33 @@ def test_koszul_report_clean():
     assert all({"arity", "weight", "kernel", "image", "betti"} <= set(p) for p in payload["pieces"])
 
 
+# (arity, weight, kernel, image, betti) of every piece at the default caps.
+KOSZUL_PIECES_W5 = [
+    (1, 1, 1, 0, 1),
+    (1, 2, 2, 2, 0),
+    (1, 3, 6, 6, 0),
+    (1, 4, 22, 22, 0),
+    (1, 5, 90, 90, 0),
+    (2, 2, 0, 0, 0),
+    (2, 3, 2, 2, 0),
+    (2, 4, 10, 10, 0),
+    (2, 5, 46, 46, 0),
+    (3, 3, 0, 0, 0),
+    (3, 4, 2, 2, 0),
+    (3, 5, 14, 14, 0),
+    (4, 4, 0, 0, 0),
+    (4, 5, 2, 2, 0),
+]
+
+
+def test_koszul_report_piece_table():
+    report = koszul_report(max_arity=4, weight_cap=5)
+    table = [
+        (p["arity"], p["weight"], p["kernel"], p["image"], p["betti"]) for p in report.pieces
+    ]
+    assert table == KOSZUL_PIECES_W5
+
+
 def test_koszul_report_detects_tampered_signs():
     def flip_first_sign(c: LinComb) -> LinComb:
         items = sorted(c.items(), key=lambda kv: str(kv[0]))
