@@ -11,7 +11,6 @@ command line exposes each computation as a reproducible report.
 from .linalg import (
     LinComb,
     SparseMatrix,
-    TensorElement,
     intersect_kernels,
     kernel_basis,
     rank,

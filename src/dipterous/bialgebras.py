@@ -2,7 +2,10 @@
 the unit-extended free algebra, antipodes, and the cocommutative coproduct.
 
 The unit acts by 1 * x = x = x * 1, 1 > x = x, x > 1 = 0, with 1 > 1 left
-undefined. Two structures live on the tensor square:
+undefined. Elements of the unit extension and of its tensor square are
+plain LinCombs: the key ``UNIT`` carries the scalar part, and a tensor has
+pairs of keys from basis and unit as its keys. Two structures live on the
+tensor square:
 
 * the "semi" structure, where > acts through the associative product on
   the left slots unless both right slots are the unit, and
@@ -26,19 +29,16 @@ computed by degree recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from itertools import chain, permutations
 
 from .linalg import (
-    ZERO,
     LinComb,
-    TensorElement,
-    as_fraction,
     bilinear,
     kernel_of_operator,
     linear_terms,
+    map_slot,
     operator_rank,
 )
 from .freealg import (
@@ -48,77 +48,13 @@ from .freealg import (
     dipt_basis_of_degree,
     eval_basis,
     generator,
-    star,
     star_basis,
-    succ,
     succ_basis,
 )
 from .series import large_schroeder, symmetric_inverse_dims
 from .trees import LEAF, Forest
 
 UNIT = "1"
-
-
-@dataclass(frozen=True)
-class UnitalElement:
-    """scalar * 1 + body, the general element of the unit extension."""
-
-    scalar: Fraction
-    body: LinComb
-
-    @classmethod
-    def unit(cls, c=1) -> "UnitalElement":
-        return cls(as_fraction(c), LinComb())
-
-    @classmethod
-    def of(cls, body: LinComb) -> "UnitalElement":
-        return cls(Fraction(0), body)
-
-    def __add__(self, other: "UnitalElement") -> "UnitalElement":
-        return UnitalElement(self.scalar + other.scalar, self.body + other.body)
-
-    def __sub__(self, other: "UnitalElement") -> "UnitalElement":
-        return self + (-1) * other
-
-    def __rmul__(self, c) -> "UnitalElement":
-        c = as_fraction(c)
-        return UnitalElement(c * self.scalar, c * self.body)
-
-    @classmethod
-    def from_terms(cls, terms) -> "UnitalElement":
-        """Accumulate (key, coeff) pairs; the UNIT key carries the scalar."""
-        body = LinComb(terms)
-        return cls(body.terms.pop(UNIT, ZERO), body)
-
-    def items(self):
-        """Terms as (key, coeff) pairs, the scalar on the UNIT key."""
-        yield UNIT, self.scalar
-        yield from self.body.items()
-
-    def is_zero(self) -> bool:
-        return not self.scalar and self.body.is_zero()
-
-    def __str__(self) -> str:
-        return f"{self.scalar} + {self.body!r}"
-
-
-def unital_star(a: UnitalElement, b: UnitalElement) -> UnitalElement:
-    body = (
-        a.scalar * b.body
-        + b.scalar * a.body
-        + star(a.body, b.body)
-    )
-    return UnitalElement(a.scalar * b.scalar, body)
-
-
-def unital_succ(a: UnitalElement, b: UnitalElement) -> UnitalElement:
-    if a.scalar and b.scalar:
-        raise ValueError("1 > 1 undefined")
-    return UnitalElement(Fraction(0), a.scalar * b.body + succ(a.body, b.body))
-
-
-def counit(x: UnitalElement) -> Fraction:
-    return x.scalar
 
 
 def _u_star(k1, k2):
@@ -143,6 +79,14 @@ def _u_succ(k1, k2, doubly_unital=None):
     return succ_basis(k1, k2)
 
 
+unital_star = bilinear(_u_star)
+unital_succ = bilinear(_u_succ)
+
+
+def counit(x: LinComb) -> Fraction:
+    return x.coeff(UNIT)
+
+
 def semi_pair_star(p, q):
     return (_u_star(p[0], q[0]), _u_star(p[1], q[1]))
 
@@ -163,20 +107,14 @@ def classical_pair_succ(p, q):
     return None if right is None else (left, right)
 
 
-def _tensor_op(pair_op):
-    """Bilinear extension of a slot-pair product to arity-2 tensors."""
-    op = bilinear(pair_op)
-    return lambda p, q: TensorElement(2, op(p, q))
-
-
-semi_tensor_star = _tensor_op(semi_pair_star)
-semi_tensor_succ = _tensor_op(semi_pair_succ)
+semi_tensor_star = bilinear(semi_pair_star)
+semi_tensor_succ = bilinear(semi_pair_succ)
 classical_tensor_star = semi_tensor_star
-classical_tensor_succ = _tensor_op(classical_pair_succ)
+classical_tensor_succ = bilinear(classical_pair_succ)
 
 
-def _pair(k1, k2) -> TensorElement:
-    return TensorElement(2, {(k1, k2): 1})
+def _pair(k1, k2) -> LinComb:
+    return LinComb.basis((k1, k2))
 
 
 def _square(tensor_star, tensor_succ) -> AlgebraTarget:
@@ -185,21 +123,21 @@ def _square(tensor_star, tensor_succ) -> AlgebraTarget:
     Generator indices range over 0..25, as in ``freealg.gen_name``.
     """
     gens = {i: _pair(UNIT, generator(i)) + _pair(generator(i), UNIT) for i in range(26)}
-    return AlgebraTarget(tensor_star, tensor_succ, gens, TensorElement.zero(2))
+    return AlgebraTarget(tensor_star, tensor_succ, gens, LinComb())
 
 
 SEMI_SQUARE = _square(semi_tensor_star, semi_tensor_succ)
 CLASSICAL_SQUARE = _square(classical_tensor_star, classical_tensor_succ)
 
-_VAR: dict[DiptBasis, TensorElement] = {}
+_VAR: dict[DiptBasis, LinComb] = {}
 
 
-def blacktriangle_basis(x: DiptBasis) -> TensorElement:
+def blacktriangle_basis(x: DiptBasis) -> LinComb:
     """Multiplicative coproduct: the morphism into the semi tensor square."""
     return eval_basis(x, SEMI_SQUARE)
 
 
-def vartriangle_basis(x: DiptBasis) -> TensorElement:
+def vartriangle_basis(x: DiptBasis) -> LinComb:
     """Unital semi-infinitesimal coproduct."""
     cached = _VAR.get(x)
     if cached is None:
@@ -217,15 +155,16 @@ def vartriangle_basis(x: DiptBasis) -> TensorElement:
     return cached
 
 
-def hopf_delta_basis(x: DiptBasis) -> TensorElement:
+def hopf_delta_basis(x: DiptBasis) -> LinComb:
     """Cocommutative coproduct: the morphism into the classical tensor square."""
     return eval_basis(x, CLASSICAL_SQUARE)
 
 
 def _lift(cop_basis):
-    def apply(x: UnitalElement) -> TensorElement:
-        unit_term = ((UNIT, UNIT), x.scalar)
-        return TensorElement(2, chain([unit_term], linear_terms(cop_basis, x.body)))
+    """Linear extension of a coproduct on basis keys, with 1 |-> 1 (x) 1."""
+
+    def apply(x: LinComb) -> LinComb:
+        return LinComb(linear_terms(lambda k: _pair(UNIT, UNIT) if k == UNIT else cop_basis(k), x))
 
     return apply
 
@@ -235,31 +174,27 @@ vartriangle = _lift(vartriangle_basis)
 hopf_delta = _lift(hopf_delta_basis)
 
 
-def reduced(cop, x) -> TensorElement:
+def reduced(cop, x: LinComb) -> LinComb:
     """Strip the two unit terms of a coproduct of a body-only element."""
-    if isinstance(x, UnitalElement):
-        if x.scalar:
-            raise ValueError("reduced coproducts need a zero scalar part")
-        body = x.body
-    else:
-        body = x
-    unit_terms = [((UNIT, key), c) for key, c in body.items()]
-    unit_terms += [((key, UNIT), c) for key, c in body.items()]
-    out = cop(UnitalElement.of(body)) - TensorElement(2, unit_terms)
-    for (k1, k2) in out.terms.terms:
+    if x.coeff(UNIT):
+        raise ValueError("reduced coproducts need a zero scalar part")
+    unit_terms = [((UNIT, key), c) for key, c in x.items()]
+    unit_terms += [((key, UNIT), c) for key, c in x.items()]
+    out = cop(x) - LinComb(unit_terms)
+    for (k1, k2) in out.terms:
         if k1 == UNIT or k2 == UNIT:
             raise ValueError("reduction left a unit term behind")
     return out
 
 
-def reduced_basis(cop_basis, key: DiptBasis) -> TensorElement:
+def reduced_basis(cop_basis, key: DiptBasis) -> LinComb:
     out = cop_basis(key) - _pair(UNIT, key) - _pair(key, UNIT)
     return out
 
 
-def tau(te: TensorElement) -> TensorElement:
+def tau(te: LinComb) -> LinComb:
     """Flip the two tensor slots."""
-    return TensorElement(2, (((b, a), c) for (a, b), c in te.items()))
+    return LinComb(((b, a), c) for (a, b), c in te.items())
 
 
 def prim_2as(n: int) -> tuple[int, list[LinComb]]:
@@ -300,54 +235,59 @@ def _antipode_basis(key: DiptBasis, cop_basis, memo) -> LinComb:
     return cached
 
 
-def antipode_S(x: UnitalElement) -> UnitalElement:
+def _antipode(x: LinComb, cop_basis, memo) -> LinComb:
+    """Linear extension of ``_antipode_basis`` that fixes the unit."""
+
+    def image(key) -> LinComb:
+        return LinComb.basis(UNIT) if key == UNIT else _antipode_basis(key, cop_basis, memo)
+
+    return LinComb(linear_terms(image, x))
+
+
+def antipode_S(x: LinComb) -> LinComb:
     """Convolution inverse of the identity for the multiplicative coproduct."""
-    body = LinComb(linear_terms(lambda key: _antipode_basis(key, blacktriangle_basis, _S), x.body))
-    return UnitalElement(x.scalar, body)
+    return _antipode(x, blacktriangle_basis, _S)
 
 
-def antipode_Sprime(x: UnitalElement) -> UnitalElement:
+def antipode_Sprime(x: LinComb) -> LinComb:
     """Convolution inverse for the semi-infinitesimal coproduct."""
-    body = LinComb(linear_terms(lambda key: _antipode_basis(key, vartriangle_basis, _SPRIME), x.body))
-    return UnitalElement(x.scalar, body)
+    return _antipode(x, vartriangle_basis, _SPRIME)
 
 
-def _to_unital(key) -> UnitalElement:
-    if key == UNIT:
-        return UnitalElement.unit()
-    return UnitalElement.of(LinComb.basis(key))
-
-
-def convolve(f, cop, x: UnitalElement, side: str = "left") -> UnitalElement:
+def convolve(f, cop, x: LinComb, side: str = "left") -> LinComb:
     """star(f (x) id) cop (x), or star(id (x) f) for side='right'."""
-
-    def term(pair) -> UnitalElement:
-        a, b = pair
-        if side == "left":
-            return unital_star(f(_to_unital(a)), _to_unital(b))
-        return unital_star(_to_unital(a), f(_to_unital(b)))
-
-    return UnitalElement.from_terms(linear_terms(term, cop(x)))
+    left = side == "left"
+    return LinComb(
+        (_u_star(k, b) if left else _u_star(a, k), c * d)
+        for (a, b), c in cop(x).items()
+        for k, d in f(LinComb.basis(a if left else b)).items()
+    )
 
 
-def antipode_identity_holds(x: UnitalElement, which: str = "S") -> bool:
+def antipode_identity_holds(x: LinComb, which: str = "S") -> bool:
     """Both convolution identities against the matching coproduct."""
     f, cop = (antipode_S, blacktriangle) if which == "S" else (antipode_Sprime, vartriangle)
-    expected = UnitalElement.unit(counit(x))
+    expected = LinComb.basis(UNIT, counit(x))
     return (
         convolve(f, cop, x, "left") == expected
         and convolve(f, cop, x, "right") == expected
     )
 
 
+def _unital_text(x: LinComb) -> str:
+    """Report text ``scalar + body`` of a unit-extension element."""
+    body = LinComb((k, c) for k, c in x.items() if k != UNIT)
+    return f"{counit(x)} + {body!r}"
+
+
 def antipode_table(degree: int) -> dict:
     """Both antipodes on every degree-n basis element, serialized."""
     out = {}
     for b in dipt_basis_of_degree(degree):
-        x = UnitalElement.of(LinComb.basis(b))
+        x = LinComb.basis(b)
         out[str(b)] = {
-            "S": str(antipode_S(x)),
-            "Sprime": str(antipode_Sprime(x)),
+            "S": _unital_text(antipode_S(x)),
+            "Sprime": _unital_text(antipode_Sprime(x)),
         }
     return out
 
@@ -356,21 +296,21 @@ def antipode_table(degree: int) -> dict:
 # Cocommutative pair: symmetrization section and corestriction.
 
 
-def com_symmetrize(word: tuple[int, ...]) -> UnitalElement:
+def com_symmetrize(word: tuple[int, ...]) -> LinComb:
     """Average of the associative words over all orderings of the letters."""
     m = len(word)
     if m < 1:
         raise ValueError("words are nonempty")
     coeff = Fraction(1, factorial(m))
     forest = Forest((LEAF,) * m)
-    return UnitalElement.of(LinComb((DiptBasis(forest, perm), coeff) for perm in permutations(word)))
+    return LinComb((DiptBasis(forest, perm), coeff) for perm in permutations(word))
 
 
-def hopf_reduced_iter(x: LinComb, n: int) -> TensorElement:
+def hopf_reduced_iter(x: LinComb, n: int) -> LinComb:
     """n-fold iterate of the reduced cocommutative coproduct on a body element."""
     out = reduced(hopf_delta, x)
     for _ in range(n - 1):
-        out = out.map_slot(0, lambda k: reduced_basis(hopf_delta_basis, k), 2)
+        out = map_slot(out, 0, lambda k: reduced_basis(hopf_delta_basis, k))
     return out
 
 
@@ -400,7 +340,7 @@ def primcom_dims(max_n: int) -> tuple[list[int], list[int]]:
     dims = []
     for n in range(1, max_n + 1):
         basis = dipt_basis_of_degree(n)
-        images = (reduced_basis(hopf_delta_basis, b).terms for b in basis)
+        images = (reduced_basis(hopf_delta_basis, b) for b in basis)
         dims.append(len(basis) - operator_rank(images))
     oracle = symmetric_inverse_dims(large_schroeder(max_n), max_n)
     return dims, oracle

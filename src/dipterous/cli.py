@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +28,15 @@ from .dynamics import (
 from .freealg import dim_table
 from .homology import koszul_report, qn_dim_table
 from .series import little_schroeder, qndipt_dims
-from .verify import antipode_witness, axioms_suite, bialgebra_suite, coassoc_suite, pbw_suite
+from .verify import (
+    SUITE_DEGREE_CAP,
+    TREE_COUNT_DEGREE_CAP,
+    antipode_witness,
+    axioms_suite,
+    bialgebra_suite,
+    coassoc_suite,
+    pbw_suite,
+)
 
 
 @dataclass(frozen=True)
@@ -44,11 +53,26 @@ class RunConfig:
 
 
 def _emit(config: RunConfig, payload: dict, text_lines: list[str]) -> None:
-    if config.output == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+    try:
+        if config.output == "json":
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            for line in text_lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early; send what is still buffered to devnull so
+        # the flush at interpreter exit stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def _clamp(requested: int, cap: int, what: str) -> int:
+    """min(requested, cap), with one stderr line when the cap applies."""
+    if requested > cap:
+        print(f"note: {what} capped at degree {cap} (--max-degree {requested} requested)", file=sys.stderr)
+    return min(requested, cap)
 
 
 def _dims_rows(which: str, config: RunConfig) -> dict:
@@ -123,10 +147,11 @@ def cmd_verify(config: RunConfig, suite: str) -> int:
     if suite in ("axioms", "all"):
         checks += axioms_suite()
     if suite in ("coassoc", "all"):
-        checks += coassoc_suite(min(config.max_degree, 4), config.seed)
+        checks += coassoc_suite(_clamp(config.max_degree, SUITE_DEGREE_CAP, "coassoc suite"), config.seed)
     if suite in ("bialgebra", "all"):
-        checks += bialgebra_suite(min(config.max_degree, 4))
+        checks += bialgebra_suite(_clamp(config.max_degree, SUITE_DEGREE_CAP, "bialgebra suite"))
     if suite in ("pbw", "all"):
+        _clamp(config.max_degree, TREE_COUNT_DEGREE_CAP, "pbw tree-count check")
         checks += pbw_suite(config.max_degree)
     lines = []
     payload = {"checks": []}
@@ -173,9 +198,12 @@ def cmd_antipode(config: RunConfig, degree: int) -> int:
 
 
 def cmd_dynamics(config: RunConfig, grammar_path: str, start: str, steps: int, free_weights: bool) -> int:
+    if steps < 0:
+        print(f"steps must be >= 0, got {steps}", file=sys.stderr)
+        return 2
     try:
         text = Path(grammar_path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read grammar file: {exc}", file=sys.stderr)
         return 2
     try:

@@ -31,9 +31,9 @@ from typing import Iterator, Sequence
 
 from .linalg import (
     LinComb,
-    TensorElement,
     kernel_of_operator,
     linear_terms,
+    map_slot,
     operator_rank,
     tensor_product,
 )
@@ -61,35 +61,34 @@ class CoproductParams:
 
 DEFAULT = CoproductParams()
 
-_DELTA: dict[tuple[DiptBasis, Fraction], TensorElement] = {}
+_DELTA: dict[tuple[DiptBasis, Fraction], LinComb] = {}
 
 
-def delta_basis(x: DiptBasis, t: Fraction = Fraction(1)) -> TensorElement:
+def delta_basis(x: DiptBasis, t: Fraction = Fraction(1)) -> LinComb:
     key = (x, t)
     cached = _DELTA.get(key)
     if cached is not None:
         return cached
     if x.degree == 1:
-        out = TensorElement.zero(2)
+        out = LinComb()
     else:
         op, left, right = decompose_basis(x)
-        out = TensorElement(
-            2,
+        out = LinComb(
             chain(
                 (((a, apply_op_basis(op, b, right)), c) for (a, b), c in delta_basis(left, t).items()),
                 (((star_basis(left, a), b), c) for (a, b), c in delta_basis(right, t).items()),
                 [((left, right), t)],
-            ),
+            )
         )
     _DELTA[key] = out
     return out
 
 
-def delta(x: LinComb, params: CoproductParams = DEFAULT) -> TensorElement:
-    return TensorElement(2, linear_terms(lambda key: delta_basis(key, params.t), x))
+def delta(x: LinComb, params: CoproductParams = DEFAULT) -> LinComb:
+    return LinComb(linear_terms(lambda key: delta_basis(key, params.t), x))
 
 
-def semi_inf_rhs(op: str, x: LinComb, y: LinComb, params: CoproductParams = DEFAULT) -> TensorElement:
+def semi_inf_rhs(op: str, x: LinComb, y: LinComb, params: CoproductParams = DEFAULT) -> LinComb:
     """Right side of the defining relation, computed from delta(x) and delta(y).
 
     Used to check that the recursive coproduct is compatible with both
@@ -106,22 +105,22 @@ def semi_inf_rhs(op: str, x: LinComb, y: LinComb, params: CoproductParams = DEFA
         for kx, cx in x.items():
             for ky, cy in y.items():
                 acc.append(((kx, ky), params.t * cx * cy))
-    return TensorElement(2, acc)
+    return LinComb(acc)
 
 
-def delta_iter(x: LinComb, n: int, params: CoproductParams = DEFAULT) -> TensorElement:
+def delta_iter(x: LinComb, n: int, params: CoproductParams = DEFAULT) -> LinComb:
     """Left-iterated coproduct of arity n + 1."""
     if n < 1:
         raise ValueError("iteration count must be >= 1")
     out = delta(x, params)
     for _ in range(n - 1):
-        out = out.map_slot(0, lambda k: delta_basis(k, params.t), 2)
+        out = map_slot(out, 0, lambda k: delta_basis(k, params.t))
     return out
 
 
 def _delta_iter_images(r: int, basis: list[DiptBasis], params: CoproductParams) -> Iterator[LinComb]:
     """Images of the r-fold iterated coproduct on an ordered basis."""
-    return (delta_iter(LinComb.basis(b), r, params).terms for b in basis)
+    return (delta_iter(LinComb.basis(b), r, params) for b in basis)
 
 
 def filtration_dim(r: int, n: int, params: CoproductParams = DEFAULT) -> int:
@@ -203,13 +202,11 @@ def _e_basis(x: DiptBasis) -> LinComb:
     return out
 
 
-def asc_deconcat(word: tuple[int, ...]) -> TensorElement:
+def asc_deconcat(word: tuple[int, ...]) -> LinComb:
     """Deconcatenation sum of a word; zero on single letters."""
     if len(word) < 1:
         raise ValueError("words are nonempty")
-    return TensorElement(
-        2, {(word[:k], word[k:]): 1 for k in range(1, len(word))}
-    )
+    return LinComb({(word[:k], word[k:]): 1 for k in range(1, len(word))})
 
 
 def s_section(word: tuple[int, ...]) -> LinComb:
@@ -239,13 +236,13 @@ def phi_corestrict(x: LinComb) -> LinComb:
     return LinComb(acc)
 
 
-def phi_tensor(te: TensorElement) -> TensorElement:
+def phi_tensor(te: LinComb) -> LinComb:
     """Apply the corestriction to both slots of an arity-2 tensor."""
     def phi_pair(key):
         a, b = key
         return tensor_product(phi_corestrict(LinComb.basis(a)), phi_corestrict(LinComb.basis(b)))
 
-    return TensorElement(2, linear_terms(phi_pair, te))
+    return LinComb(linear_terms(phi_pair, te))
 
 
 @dataclass(frozen=True)

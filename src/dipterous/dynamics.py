@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .linalg import LinComb, TensorElement, as_fraction, bilinear, linear_terms
+from .linalg import LinComb, as_fraction, bilinear, linear_terms
 
 Word = tuple[str, ...]
 WordElement = LinComb  # over Word keys
@@ -69,7 +69,7 @@ class CoopTable:
                 )
 
 
-def delta_sharp(tbl: CoopTable, x: WordElement) -> TensorElement:
+def delta_sharp(tbl: CoopTable, x: WordElement) -> LinComb:
     """Extend the letter cooperation to words: act on the last letter only.
 
     Words whose last symbol has no rules contribute zero.
@@ -79,17 +79,15 @@ def delta_sharp(tbl: CoopTable, x: WordElement) -> TensorElement:
         prefix, last = word[:-1], word[-1]
         for w, (b, s) in tbl.rules.get(last, ()):
             acc.append(((prefix + (b,), (s,)), c * w))
-    return TensorElement(2, acc)
+    return LinComb(acc)
 
 
 def word_elem(word: Sequence[str], coeff=1) -> WordElement:
     return LinComb.basis(tuple(word), coeff)
 
 
-def mu(te: TensorElement) -> WordElement:
+def mu(te: LinComb) -> WordElement:
     """Concatenate the two tensor slots."""
-    if te.arity != 2:
-        raise ValueError("mu concatenates arity-2 tensors")
     return LinComb(((a + b), c) for (a, b), c in te.items())
 
 

@@ -6,6 +6,10 @@ so this module is deliberately float-free: scalars are ``fractions.Fraction``
 throughout and elimination is plain rational Gaussian elimination brought
 to reduced row echelon form, which is unique and hence reproducible.
 
+``LinComb`` is the only element type. A tensor is a LinComb whose keys are
+tuples of basis keys (the arity of a term is the length of its key), and
+an element of a unit extension is a LinComb with a key for the unit.
+
 All values are immutable after construction and all functions are pure,
 so concurrent use needs no locking.
 """
@@ -140,9 +144,9 @@ class LinComb:
 def linear_terms(fn: Callable, x) -> Iterator[tuple]:
     """Terms of the linear extension of ``fn`` applied to ``x``.
 
-    ``fn`` sends a basis key to a LinComb or TensorElement; the stream of
-    ``(key, coeff)`` pairs of sum c * fn(k) over the terms c k of ``x`` is
-    meant to be accumulated in one LinComb or TensorElement construction.
+    ``fn`` sends a basis key to a LinComb; the stream of ``(key, coeff)``
+    pairs of sum c * fn(k) over the terms c k of ``x`` is meant to be
+    accumulated in one LinComb construction.
     """
     return ((k, c * d) for key, c in x.items() for k, d in fn(key).items())
 
@@ -151,8 +155,8 @@ def bilinear(op: Callable) -> Callable[..., LinComb]:
     """Bilinear extension of a product given on basis keys.
 
     ``op(a, b)`` returns the key of the product of two basis keys, or None
-    when that product is zero. The extension takes two LinCombs (or
-    TensorElements) and returns a LinComb.
+    when that product is zero. The extension takes two LinCombs and
+    returns a LinComb.
     """
 
     def apply(x, y) -> LinComb:
@@ -166,101 +170,22 @@ def bilinear(op: Callable) -> Callable[..., LinComb]:
     return apply
 
 
-class TensorElement:
-    """LinComb over n-tuples of basis keys, tagged with its arity."""
+def map_slot(x: LinComb, slot: int, fn: Callable) -> LinComb:
+    """Apply ``fn`` to one slot of a tensor, splicing its image in.
 
-    __slots__ = ("arity", "terms")
-
-    def __init__(self, arity: int, terms=None):
-        if arity < 1:
-            raise ValueError(f"tensor arity must be >= 1, got {arity}")
-        self.arity = arity
-        lc = terms if isinstance(terms, LinComb) else LinComb(terms)
-        for key in lc.terms:
-            if not isinstance(key, tuple) or len(key) != arity:
-                raise ValueError(f"tensor key {key!r} does not have arity {arity}")
-        self.terms = lc
-
-    @classmethod
-    def zero(cls, arity: int) -> "TensorElement":
-        return cls(arity)
-
-    def is_zero(self) -> bool:
-        return self.terms.is_zero()
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def items(self):
-        return self.terms.items()
-
-    def coeff(self, key) -> Fraction:
-        return self.terms.coeff(key)
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        if self.arity != other.arity:
-            raise ValueError("tensor arities differ")
-        out = TensorElement.__new__(TensorElement)
-        out.arity = self.arity
-        out.terms = self.terms + other.terms
-        return out
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + (-1) * other
-
-    def __rmul__(self, c: Scalar) -> "TensorElement":
-        out = TensorElement.__new__(TensorElement)
-        out.arity = self.arity
-        out.terms = as_fraction(c) * self.terms
-        return out
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorElement)
-            and self.arity == other.arity
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.arity, self.terms))
-
-    def map_slot(self, slot: int, fn, out_arity: int) -> "TensorElement":
-        """Apply ``fn: key -> TensorElement`` to one slot, splicing the result in.
-
-        The output arity is ``self.arity - 1 + out_arity``.
-        """
-        acc = []
-        for key, c in self.terms.items():
-            image = fn(key[slot])
-            if image.arity != out_arity:
-                raise ValueError("slot image has unexpected arity")
-            acc.extend((key[:slot] + sub + key[slot + 1 :], c * d) for sub, d in image.items())
-        return TensorElement(self.arity - 1 + out_arity, acc)
-
-    def to_json(self, key_str=canon) -> dict:
-        return {
-            "arity": self.arity,
-            "terms": [
-                {"keys": [key_str(k) for k in key], "coeff": str(self.terms.terms[key])}
-                for key in self.terms.support()
-            ],
-        }
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "0"
-        lines = []
-        for key in self.terms.support():
-            lines.append(" (x) ".join(str(k) for k in key) + f" : {self.terms.terms[key]}")
-        return " + ".join(lines)
+    ``x`` has tuple keys and ``fn`` sends a key to a LinComb over tuples.
+    Each image tuple replaces the slot's key, so an arity-n tensor and
+    arity-m images give an arity n + m - 1 tensor.
+    """
+    return LinComb(
+        (key[:slot] + sub + key[slot + 1 :], c * d)
+        for key, c in x.items()
+        for sub, d in fn(key[slot]).items()
+    )
 
 
-_pairs = bilinear(lambda ka, kb: (ka, kb))
-
-
-def tensor_product(a: LinComb, b: LinComb) -> TensorElement:
-    """Pair two linear combinations into an arity-2 tensor."""
-    return TensorElement(2, _pairs(a, b))
+# a (x) b: pairs the keys of two linear combinations into arity-2 tensor keys.
+tensor_product = bilinear(lambda ka, kb: (ka, kb))
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from dipterous.linalg import LinComb, TensorElement
+from dipterous.linalg import LinComb
 from dipterous.bialgebras import (
     UNIT,
-    UnitalElement,
     antipode_S,
     antipode_Sprime,
     antipode_identity_holds,
@@ -46,12 +45,12 @@ def be(forest_text: str, word: str) -> DiptBasis:
     return DiptBasis(parse_forest(forest_text), tuple(ord(c) - ord("a") for c in word))
 
 
-def body(forest_text: str, word: str) -> UnitalElement:
-    return UnitalElement.of(LinComb.basis(be(forest_text, word)))
+def body(forest_text: str, word: str) -> LinComb:
+    return LinComb.basis(be(forest_text, word))
 
 
-ONE = UnitalElement.unit()
-GEN = UnitalElement.of(gen_elem(0))
+ONE = LinComb.basis(UNIT)
+GEN = gen_elem(0)
 TREE = body("[(| |)]", "ab")
 FOREST = body("[| |]", "ab")
 
@@ -64,7 +63,7 @@ def test_one_succ_one_rejected():
     with pytest.raises(ValueError):
         unital_succ(ONE, ONE)
     with pytest.raises(ValueError):
-        unital_succ(UnitalElement(Fraction(2), gen_elem(0)), ONE)
+        unital_succ(2 * ONE + gen_elem(0), ONE)
 
 
 def test_unital_succ_values():
@@ -75,39 +74,33 @@ def test_unital_succ_values():
 
 def test_semi_tensor_rules():
     x, y = be("[|]", "a"), be("[|]", "b")
-    t_xy = TensorElement(2, {(x, UNIT): 1})
-    t_yx = TensorElement(2, {(y, UNIT): 1})
+    t_xy = LinComb({(x, UNIT): 1})
+    t_yx = LinComb({(y, UNIT): 1})
     # (x (x) 1) > (y (x) 1) = (x > y) (x) 1
     out = semi_tensor_succ(t_xy, t_yx)
-    assert out == TensorElement(2, {(be("[(| |)]", "ab"), UNIT): 1})
+    assert out == LinComb({(be("[(| |)]", "ab"), UNIT): 1})
     # (x (x) b) > (y (x) 1) dies on b > 1
-    out = semi_tensor_succ(TensorElement(2, {(x, y): 1}), t_yx)
+    out = semi_tensor_succ(LinComb({(x, y): 1}), t_yx)
     assert out.is_zero()
     # (x (x) 1) > (y (x) b') moves b' across
-    out = semi_tensor_succ(t_xy, TensorElement(2, {(y, x): 1}))
-    assert out == TensorElement(2, {(be("[| |]", "ab"), x): 1})
+    out = semi_tensor_succ(t_xy, LinComb({(y, x): 1}))
+    assert out == LinComb({(be("[| |]", "ab"), x): 1})
 
 
 def test_classical_tensor_rules():
     x, y = be("[|]", "a"), be("[|]", "b")
-    t_x1 = TensorElement(2, {(x, UNIT): 1})
-    t_y1 = TensorElement(2, {(y, UNIT): 1})
-    assert classical_tensor_succ(t_x1, t_y1) == TensorElement(
-        2, {(be("[(| |)]", "ab"), UNIT): 1}
-    )
-    out = classical_tensor_succ(
-        TensorElement(2, {(x, x): 1}), TensorElement(2, {(y, y): 1})
-    )
-    assert out == TensorElement(2, {(be("[(| |)]", "ab"), be("[(| |)]", "ab")): 1})
-    out = classical_tensor_star(
-        TensorElement(2, {(UNIT, x): 1}), TensorElement(2, {(UNIT, y): 1})
-    )
-    assert out == TensorElement(2, {(UNIT, be("[| |]", "ab")): 1})
+    t_x1 = LinComb({(x, UNIT): 1})
+    t_y1 = LinComb({(y, UNIT): 1})
+    assert classical_tensor_succ(t_x1, t_y1) == LinComb({(be("[(| |)]", "ab"), UNIT): 1})
+    out = classical_tensor_succ(LinComb({(x, x): 1}), LinComb({(y, y): 1}))
+    assert out == LinComb({(be("[(| |)]", "ab"), be("[(| |)]", "ab")): 1})
+    out = classical_tensor_star(LinComb({(UNIT, x): 1}), LinComb({(UNIT, y): 1}))
+    assert out == LinComb({(UNIT, be("[| |]", "ab")): 1})
 
 
 def test_blacktriangle_examples():
     g = be("[|]", "a")
-    assert blacktriangle(GEN) == TensorElement(2, {(UNIT, g): 1, (g, UNIT): 1})
+    assert blacktriangle(GEN) == LinComb({(UNIT, g): 1, (g, UNIT): 1})
     te = blacktriangle(TREE)
     key = be("[(| |)]", "ab")
     assert te.coeff((key, UNIT)) == 1 and te.coeff((UNIT, key)) == 1
@@ -117,15 +110,15 @@ def test_blacktriangle_examples():
 
 def test_vartriangle_examples():
     g = be("[|]", "a")
-    assert vartriangle(GEN) == TensorElement(2, {(UNIT, g): 1, (g, UNIT): 1})
-    assert vartriangle(ONE) == TensorElement(2, {(UNIT, UNIT): 1})
+    assert vartriangle(GEN) == LinComb({(UNIT, g): 1, (g, UNIT): 1})
+    assert vartriangle(ONE) == LinComb({(UNIT, UNIT): 1})
     red = reduced(vartriangle, TREE)
-    assert red == TensorElement(2, {(be("[|]", "a"), be("[|]", "b")): 1})
+    assert red == LinComb({(be("[|]", "a"), be("[|]", "b")): 1})
 
 
 def test_reduced_requires_zero_scalar():
     with pytest.raises(ValueError):
-        reduced(vartriangle, UnitalElement(Fraction(1), gen_elem(0)))
+        reduced(vartriangle, ONE + gen_elem(0))
 
 
 def test_reduced_of_generator_vanishes():
@@ -168,7 +161,7 @@ def test_counit():
     # (eps (x) id) applied to the multiplicative coproduct gives the element back
     for n in range(1, 4):
         for b in dipt_basis_of_degree(n):
-            te = blacktriangle(UnitalElement.of(LinComb.basis(b)))
+            te = blacktriangle(LinComb.basis(b))
             picked = LinComb()
             for (a, k), c in te.items():
                 if a == UNIT and k != UNIT:
@@ -179,26 +172,24 @@ def test_counit():
 def test_prim_joint_kernel_computed_dims():
     # degree 1 and 2 follow the rigidity expectation; from degree 3 on the
     # joint kernel is larger, with an explicit machine-verified element
-    dims = [prim_2as(n)[0] for n in range(1, 5)]
+    dims = [prim_2as(n)[0] for n in range(1, 6)]
     assert dims[:2] == [1, 0]
-    assert dims == [1, 0, 1, 4]
+    assert dims == [1, 0, 1, 4, 17]
     _, vecs = prim_2as(3)
     z = vecs[0]
-    assert reduced(vartriangle, UnitalElement.of(z)).is_zero()
-    assert reduced(blacktriangle, UnitalElement.of(z)).is_zero()
+    assert reduced(vartriangle, z).is_zero()
+    assert reduced(blacktriangle, z).is_zero()
     assert delta(z).is_zero()
 
 
 def test_antipodes_on_primitives_negate():
-    assert antipode_S(GEN) == UnitalElement.of(-1 * gen_elem(0))
-    assert antipode_Sprime(GEN) == UnitalElement.of(-1 * gen_elem(0))
+    assert antipode_S(GEN) == -1 * gen_elem(0)
+    assert antipode_Sprime(GEN) == -1 * gen_elem(0)
 
 
 def test_antipode_sprime_degree_two_example():
     out = antipode_Sprime(TREE)
-    expected = UnitalElement.of(
-        -1 * LinComb.basis(be("[(| |)]", "ab")) + LinComb.basis(be("[| |]", "ab"))
-    )
+    expected = -1 * LinComb.basis(be("[(| |)]", "ab")) + LinComb.basis(be("[| |]", "ab"))
     assert out == expected
 
 
@@ -213,9 +204,7 @@ def test_antipode_identities_two_sided_degree_le_4():
         assert antipode_identity_holds(ONE, which)
         for n in range(1, 5):
             for b in dipt_basis_of_degree(n):
-                assert antipode_identity_holds(
-                    UnitalElement.of(LinComb.basis(b)), which
-                ), (which, b)
+                assert antipode_identity_holds(LinComb.basis(b), which), (which, b)
 
 
 def test_antipode_table_shape():
@@ -227,15 +216,15 @@ def test_antipode_table_shape():
 def test_com_symmetrize_examples():
     assert com_symmetrize((0,)) == GEN
     s = com_symmetrize((0, 1))
-    assert s.body.coeff(be("[| |]", "ab")) == Fraction(1, 2)
-    assert s.body.coeff(be("[| |]", "ba")) == Fraction(1, 2)
+    assert s.coeff(be("[| |]", "ab")) == Fraction(1, 2)
+    assert s.coeff(be("[| |]", "ba")) == Fraction(1, 2)
 
 
 def test_com_corestrict_section_identity():
     words = [(0,), (0, 1), (0, 0), (0, 1, 2), (0, 0, 1), (0, 1, 2, 3)]
     for word in words:
         expected = LinComb.basis(tuple(sorted(word)))
-        assert com_corestrict(com_symmetrize(word).body) == expected
+        assert com_corestrict(com_symmetrize(word)) == expected
 
 
 def test_primcom_dims_match_oracle():

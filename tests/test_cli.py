@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -136,6 +140,58 @@ def test_dynamics_unknown_start(tmp_path, capsys):
 def test_dynamics_missing_file(capsys):
     code, _, err = run(capsys, "dynamics", "/nonexistent/g.grammar", "s", "1")
     assert code == 2
+
+
+def test_dynamics_non_utf8_grammar_is_usage_error(tmp_path, capsys):
+    grammar = tmp_path / "binary.grammar"
+    grammar.write_bytes(b"\xff\xfe")
+    code, _, err = run(capsys, "dynamics", str(grammar), "s", "1")
+    assert code == 2
+    assert "cannot read grammar file" in err
+
+
+def test_dynamics_negative_steps_is_usage_error(tmp_path, capsys):
+    grammar = tmp_path / "g.grammar"
+    grammar.write_text("s -> s s : 1\n")
+    code, out, err = run(capsys, "dynamics", str(grammar), "s", "-3")
+    assert code == 2
+    assert out == ""
+    assert "steps" in err
+
+
+def test_verify_names_a_clamped_cap(capsys):
+    code, out, err = run(capsys, "verify", "bialgebra", "--max-degree", "4")
+    assert err == ""
+    code_clamped, out_clamped, err = run(capsys, "verify", "bialgebra", "--max-degree", "6")
+    assert (code_clamped, out_clamped) == (code, out)
+    assert err.count("\n") == 1 and "6" in err and "4" in err
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_subprocess(argv, **kwargs):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *argv], env=env, stderr=subprocess.PIPE, **kwargs)
+
+
+def test_closed_stdout_exits_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_subprocess(["-m", "dipterous.cli", "dims", "all", "--max-degree", "6"], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr.decode()
+    assert proc.returncode == 0
+
+
+def test_dimension_report_script_runs():
+    proc = _run_subprocess(
+        [str(ROOT / "scripts" / "dimension_report.py"), "--max-degree", "3"], stdout=subprocess.PIPE
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert "koszul_ok=True" in proc.stdout.decode().splitlines()
 
 
 def test_json_outputs_are_deterministic(capsys):

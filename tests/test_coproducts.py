@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dipterous.linalg import LinComb, TensorElement
+from dipterous.linalg import LinComb
 from dipterous.coproducts import (
     CoproductParams,
     asc_deconcat,
@@ -51,7 +51,7 @@ def test_delta_on_generators_vanishes():
 def test_delta_degree_two():
     tree = LinComb.basis(be("[(| |)]", "ab"))
     forest = LinComb.basis(be("[| |]", "ab"))
-    expected = TensorElement(2, {(be("[|]", "a"), be("[|]", "b")): 1})
+    expected = LinComb({(be("[|]", "a"), be("[|]", "b")): 1})
     assert delta(tree) == expected
     assert delta(forest) == expected
 
@@ -63,9 +63,7 @@ def test_delta_iter_kills_low_degree():
 
 def test_delta_iter_word_split():
     x = LinComb.basis(be("[| | |]", "abc"))
-    expected = TensorElement(
-        3, {(be("[|]", "a"), be("[|]", "b"), be("[|]", "c")): 1}
-    )
+    expected = LinComb({(be("[|]", "a"), be("[|]", "b"), be("[|]", "c")): 1})
     assert delta_iter(x, 2) == expected
 
 
@@ -194,10 +192,8 @@ def test_e_identity_on_primitives():
 
 def test_deconcat_examples():
     assert asc_deconcat((0,)).is_zero()
-    assert asc_deconcat((0, 1)) == TensorElement(2, {((0,), (1,)): 1})
-    assert asc_deconcat((0, 1, 2)) == TensorElement(
-        2, {((0,), (1, 2)): 1, ((0, 1), (2,)): 1}
-    )
+    assert asc_deconcat((0, 1)) == LinComb({((0,), (1,)): 1})
+    assert asc_deconcat((0, 1, 2)) == LinComb({((0,), (1, 2)): 1, ((0, 1), (2,)): 1})
 
 
 def test_section_examples():
@@ -231,7 +227,7 @@ def test_phi_is_a_coalgebra_morphism_degree_le_4():
         for b in dipt_basis_of_degree(n, num_gens=2)[:40]:
             x = LinComb.basis(b)
             image = phi_corestrict(x)
-            lhs = TensorElement.zero(2)
+            lhs = LinComb()
             for word, c in image.items():
                 lhs = lhs + c * asc_deconcat(word)
             assert lhs == phi_tensor(delta(x))

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from dipterous.linalg import (
     LinComb,
     SparseMatrix,
-    TensorElement,
     intersect_kernels,
     kernel_basis,
+    map_slot,
     matrix_of_images,
     rank,
     tensor_product,
@@ -127,19 +127,12 @@ def test_matrix_of_images_orders_rows_canonically():
 
 
 def test_tensor_element_arity_checks():
-    with pytest.raises(ValueError):
-        TensorElement(2, {("a",): 1})
     te = tensor_product(LinComb({"a": 2}), LinComb({"b": Fraction(1, 2)}))
     assert te.coeff(("a", "b")) == 1
 
 
 def test_tensor_map_slot():
-    te = TensorElement(2, {("a", "b"): 1})
-    out = te.map_slot(0, lambda k: TensorElement(2, {(k + "1", k + "2"): 2}), 2)
-    assert out.arity == 3
+    te = LinComb({("a", "b"): 1})
+    out = map_slot(te, 0, lambda k: LinComb({(k + "1", k + "2"): 2}))
+    assert all(len(key) == 3 for key in out.terms)
     assert out.coeff(("a1", "a2", "b")) == 2
-
-
-def test_tensor_json_roundtrip_schema():
-    te = TensorElement(2, {("a", "b"): Fraction(1, 3)})
-    assert te.to_json() == {"arity": 2, "terms": [{"keys": ["a", "b"], "coeff": "1/3"}]}
