@@ -9,7 +9,7 @@ composition identity, and the Betti table summary.
 import argparse
 
 from dipterous.bialgebras import primcom_dims
-from dipterous.coproducts import pbw_dim_check, prim_basis
+from dipterous.coproducts import filtration_dim, pbw_dim_check
 from dipterous.freealg import dim_table
 from dipterous.homology import koszul_report, qn_dim_table
 from dipterous.series import little_schroeder, qndipt_dims
@@ -27,7 +27,7 @@ def main() -> int:
     print(f"qndipt  {qn_dim_table(n)}  reference {qndipt_dims(n)}")
 
     print("\n== primitive dimensions ==")
-    semi = [len(prim_basis(k)) for k in range(1, n + 1)]
+    semi = [filtration_dim(1, k) for k in range(1, n + 1)]
     print(f"one-sided coproduct kernel: {semi}  (tree counts {little_schroeder(n)})")
     hopf, oracle = primcom_dims(n)
     print(f"cocommutative coproduct kernel: {hopf}  (series oracle {oracle})")

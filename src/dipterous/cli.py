@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .bialgebras import antipode_table, primcom_dims
-from .coproducts import CoproductParams, prim_basis
+from .coproducts import CoproductParams, filtration_dim
 from .dynamics import (
     GrammarError,
     distribution_json,
@@ -27,7 +27,7 @@ from .dynamics import (
 )
 from .freealg import dim_table
 from .homology import koszul_report, qn_dim_table
-from .series import little_schroeder, qndipt_dims
+from .series import large_schroeder, little_schroeder, qndipt_dims
 from .verify import (
     SUITE_DEGREE_CAP,
     TREE_COUNT_DEGREE_CAP,
@@ -107,8 +107,9 @@ def cmd_prim(config: RunConfig, coproduct: str) -> int:
     lines: list[str] = []
     ok = True
     if coproduct in ("semiinf", "both"):
-        dims = [len(prim_basis(n, params)) for n in range(1, config.max_degree + 1)]
-        ref = little_schroeder(config.max_degree)
+        dims = [filtration_dim(1, n, params) for n in range(1, config.max_degree + 1)]
+        # Delta_t = t * Delta_1, so at t = 0 every forest is primitive.
+        ref = (large_schroeder if params.t == 0 else little_schroeder)(config.max_degree)
         match = dims == ref
         ok &= match
         lines.append(f"semiinf dims={dims} reference={ref} match={str(match).lower()}")

@@ -260,7 +260,7 @@ def pbw_dim_check(max_n: int, params: CoproductParams = DEFAULT) -> PbwReport:
     """Forest dims must equal composition sums of computed primitive dims."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    prim = [len(prim_basis(n, params)) for n in range(1, max_n + 1)]
+    prim = [filtration_dim(1, n, params) for n in range(1, max_n + 1)]
     forests = [len(dipt_basis_of_degree(n)) for n in range(1, max_n + 1)]
     composed = [composition_sum(prim, n) for n in range(1, max_n + 1)]
     return PbwReport(tuple(forests), tuple(prim), tuple(composed))

@@ -88,6 +88,8 @@ class DiptBasis:
     def __str__(self) -> str:
         return f"{self.forest} @ {word_str(self.word)}"
 
+    __repr__ = __str__
+
 
 DiptElement = LinComb  # over DiptBasis keys
 

@@ -2,9 +2,12 @@
 
 Everything downstream (primitive spaces, homology ranks, antipode
 recursions) reduces to kernel and rank computations over the rationals,
-so this module is deliberately float-free: scalars are ``fractions.Fraction``
-throughout and elimination is plain rational Gaussian elimination brought
-to reduced row echelon form, which is unique and hence reproducible.
+so this module is deliberately float-free. LinComb coefficients are
+``fractions.Fraction``. Elimination is exact sparse Gaussian elimination
+over the rationals that keeps integral entries as ``int`` and prefers unit
+pivots, so a matrix with unit pivots never builds a ``Fraction``. Ranks
+come from the forward echelon form; kernels from the reduced row echelon
+form, which is unique and hence reproducible.
 
 ``LinComb`` is the only element type. A tensor is a LinComb whose keys are
 tuples of basis keys (the arity of a term is the length of its key), and
@@ -238,44 +241,63 @@ class SparseMatrix:
         return LinComb(out)
 
 
-def _rref(rows: list[dict[int, Fraction]], ncols: int) -> tuple[list[dict[int, Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (pivot rows, pivot columns)."""
-    pivot_rows: list[dict[int, Fraction]] = []
+def _echelon(rows: list[dict[int, Scalar]], ncols: int) -> tuple[list[dict[int, Scalar]], list[int]]:
+    """Forward row echelon form of fresh row dicts; returns (pivot rows, pivot columns).
+
+    Integral entries become ``int`` in place, so a matrix whose pivots are
+    all units is eliminated without a ``Fraction``. A column -> row-id index
+    (lists that may hold stale or repeated ids, filtered when read) finds
+    the candidate rows of each column. The pivot is a candidate with a +-1
+    entry, fewest nonzeros first; elimination runs below the pivot only.
+    Each pivot row is scaled to 1 at its pivot, and the pivot columns come
+    in increasing order.
+    """
+    index: list[list[int]] = [[] for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, c in row.items():
+            if c.denominator == 1:
+                row[j] = c.numerator
+            index[j].append(i)
+    done = [False] * len(rows)
+    pivot_rows: list[dict[int, Scalar]] = []
     pivot_cols: list[int] = []
-    live = [r for r in rows if r]
     for col in range(ncols):
-        pivot = None
-        for idx, row in enumerate(live):
-            if col in row:
-                pivot = idx
-                break
-        if pivot is None:
+        cands = [i for i in dict.fromkeys(index[col]) if not done[i] and col in rows[i]]
+        index[col] = []
+        if not cands:
             continue
-        row = live.pop(pivot)
-        inv = ONE / row[col]
-        row = {j: inv * c for j, c in row.items()}
-        # clear the column everywhere else (rows already reduced included)
-        for other in pivot_rows + live:
-            f = other.get(col)
-            if f is None:
+        units = [i for i in cands if rows[i][col] in (1, -1)]
+        p = min(units or cands, key=lambda i: len(rows[i]))
+        done[p] = True
+        prow = rows[p]
+        lead = prow[col]
+        if lead == -1:
+            prow = {j: -c for j, c in prow.items()}
+        elif lead != 1:
+            inv = ONE / lead
+            prow = {j: inv * c for j, c in prow.items()}
+        for i in cands:
+            if i == p:
                 continue
-            for j, c in row.items():
-                acc = other.get(j, ZERO) - f * c
+            row = rows[i]
+            f = row[col]
+            for j, c in prow.items():
+                had = j in row
+                acc = (row[j] if had else 0) - f * c
                 if acc:
-                    other[j] = acc
-                else:
-                    other.pop(j, None)
-        pivot_rows.append(row)
+                    row[j] = acc
+                    if not had:
+                        index[j].append(i)
+                elif had:
+                    del row[j]
+        pivot_rows.append(prow)
         pivot_cols.append(col)
-        live = [r for r in live if r]
-        if not live:
-            break
     return pivot_rows, pivot_cols
 
 
 def rank(m: SparseMatrix) -> int:
     """Exact rank over the rationals."""
-    _, pivots = _rref(m.row_dicts(), m.ncols)
+    _, pivots = _echelon(m.row_dicts(), m.ncols)
     return len(pivots)
 
 
@@ -284,21 +306,38 @@ def kernel_basis(m: SparseMatrix) -> list[LinComb]:
 
     Vectors come from the reduced echelon form: one per free column, with
     coefficient 1 on the free column, ordered by free column index. This
-    normalization is unique, so results are reproducible across runs.
+    normalization is unique, so results are reproducible across runs and
+    do not depend on which rows were chosen as pivots.
     """
-    rows, pivot_cols = _rref(m.row_dicts(), m.ncols)
-    pivot_set = set(pivot_cols)
-    basis = []
-    for free in range(m.ncols):
-        if free in pivot_set:
-            continue
-        vec = {free: ONE}
-        for row, pcol in zip(rows, pivot_cols):
-            c = row.get(free)
-            if c:
-                vec[pcol] = -c
-        basis.append(LinComb(vec))
-    return basis
+    rows, pivot_cols = _echelon(m.row_dicts(), m.ncols)
+    # Back-substitution, last pivot first. Row k then holds its pivot and
+    # free columns only, so clearing pivot column k from the rows above
+    # fills in free columns only, and the pivot-column index stays exact.
+    pos = {pcol: k for k, pcol in enumerate(pivot_cols)}
+    above: list[list[int]] = [[] for _ in pivot_cols]
+    for i, row in enumerate(rows):
+        for j in row:
+            k = pos.get(j)
+            if k is not None and k != i:
+                above[k].append(i)
+    for k in reversed(range(len(rows))):
+        prow, pcol = rows[k], pivot_cols[k]
+        for i in above[k]:
+            row = rows[i]
+            f = row.pop(pcol)
+            for j, c in prow.items():
+                if j != pcol:
+                    acc = row.get(j, 0) - f * c
+                    if acc:
+                        row[j] = acc
+                    else:
+                        row.pop(j, None)
+    vecs = {free: {free: ONE} for free in range(m.ncols) if free not in pos}
+    for row, pcol in zip(rows, pivot_cols):
+        for j, c in row.items():
+            if j != pcol:
+                vecs[j][pcol] = -c
+    return [LinComb(vec) for vec in vecs.values()]
 
 
 def intersect_kernels(ms: Sequence[SparseMatrix]) -> list[LinComb]:

@@ -35,8 +35,8 @@ from .coproducts import (
     CoproductParams,
     delta,
     delta_basis,
+    filtration_dim,
     pbw_dim_check,
-    prim_basis,
     semi_inf_rhs,
 )
 from .freealg import (
@@ -434,7 +434,7 @@ def bialgebra_suite(max_degree: int = 4) -> list[Check]:
 
 
 def pbw_suite(max_n: int = 6) -> list[Check]:
-    prim_dims = [len(prim_basis(n)) for n in range(1, min(max_n, TREE_COUNT_DEGREE_CAP) + 1)]
+    prim_dims = [filtration_dim(1, n) for n in range(1, min(max_n, TREE_COUNT_DEGREE_CAP) + 1)]
     expected = little_schroeder(len(prim_dims))
     ok = prim_dims == expected
     checks = [

@@ -172,9 +172,9 @@ def test_counit():
 def test_prim_joint_kernel_computed_dims():
     # degree 1 and 2 follow the rigidity expectation; from degree 3 on the
     # joint kernel is larger, with an explicit machine-verified element
-    dims = [prim_2as(n)[0] for n in range(1, 6)]
+    dims = [prim_2as(n)[0] for n in range(1, 7)]
     assert dims[:2] == [1, 0]
-    assert dims == [1, 0, 1, 4, 17]
+    assert dims == [1, 0, 1, 4, 17, 76]
     _, vecs = prim_2as(3)
     z = vecs[0]
     assert reduced(vartriangle, z).is_zero()

@@ -50,6 +50,17 @@ def test_prim_semiinf(capsys):
     assert "[1, 1, 3, 11]" in out
 
 
+def test_prim_semiinf_at_t_zero_counts_forests(capsys):
+    # Delta vanishes at t = 0, so the primitives are all of degree n.
+    code, out, _ = run(capsys, "prim", "semiinf", "--t", "0", "--max-degree", "5", "--json")
+    assert code == 0
+    assert json.loads(out)["semiinf"] == {
+        "dims": [1, 2, 6, 22, 90],
+        "reference": [1, 2, 6, 22, 90],
+        "match": True,
+    }
+
+
 def test_prim_hopf_against_oracle(capsys):
     code, out, _ = run(capsys, "prim", "hopf", "--max-degree", "3", "--json")
     assert code == 0

@@ -11,6 +11,7 @@ from dipterous.coproducts import (
     bracket,
     corolla_iso_check,
     delta,
+    delta_basis,
     delta_iter,
     e_idempotent,
     filtration_dim,
@@ -110,6 +111,28 @@ def test_filtration_monotone():
 
 def test_prim_dims_match_tree_counts():
     assert [len(prim_basis(n)) for n in range(1, 6)] == little_schroeder(5)
+
+
+@pytest.mark.parametrize("t", [Fraction(1), Fraction(1, 2)])
+def test_filtration_dim_counts_prim_basis(t):
+    params = CoproductParams(t)
+    for n in range(1, 7):
+        assert filtration_dim(1, n, params) == len(prim_basis(n, params))
+
+
+def test_delta_scales_linearly_in_t():
+    # Delta_t = t * Delta_1: every summand of the recursion carries one t.
+    for n in range(1, 6):
+        for b in dipt_basis_of_degree(n):
+            for t in (Fraction(0), Fraction(2), Fraction(-3, 7)):
+                assert delta_basis(b, t) == t * delta_basis(b)
+
+
+def test_tensor_repr_prints_basis_text():
+    te = delta(LinComb.basis(dipt_basis_of_degree(3)[0]))
+    assert te
+    assert "DiptBasis(" not in repr(te)
+    assert repr(te).count(" @ ") == 2 * len(te)
 
 
 def test_prim_basis_degree_two_span():

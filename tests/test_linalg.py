@@ -136,3 +136,78 @@ def test_tensor_map_slot():
     out = map_slot(te, 0, lambda k: LinComb({(k + "1", k + "2"): 2}))
     assert all(len(key) == 3 for key in out.terms)
     assert out.coeff(("a1", "a2", "b")) == 2
+
+
+def reference_kernel(m):
+    """Dense Fraction Gauss-Jordan: (rank, kernel vectors as {col: coeff} dicts)."""
+    rows = [[Fraction(0)] * m.ncols for _ in range(m.nrows)]
+    for (i, j), c in m.entries.items():
+        rows[i][j] = Fraction(c)
+    pivots = []
+    r = 0
+    for col in range(m.ncols):
+        p = next((i for i in range(r, m.nrows) if rows[i][col]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        lead = rows[r][col]
+        rows[r] = [c / lead for c in rows[r]]
+        for i in range(m.nrows):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    vecs = []
+    for free in range(m.ncols):
+        if free in pivots:
+            continue
+        vec = {free: Fraction(1)}
+        for k, pcol in enumerate(pivots):
+            if rows[k][free]:
+                vec[pcol] = -rows[k][free]
+        vecs.append(vec)
+    return len(pivots), vecs
+
+
+def sized_matrices(entries):
+    return st.integers(1, 7).flatmap(
+        lambda ncols: st.lists(
+            st.lists(entries, min_size=ncols, max_size=ncols), min_size=0, max_size=7
+        ).map(lambda rows: SparseMatrix.from_rows(rows, ncols))
+    )
+
+
+def check_against_reference(m):
+    before = dict(m.entries)
+    ref_rank, ref_vecs = reference_kernel(m)
+    assert rank(m) == ref_rank
+    assert [vec.terms for vec in kernel_basis(m)] == ref_vecs
+    assert m.entries == before
+
+
+@given(sized_matrices(st.integers(-4, 4)))
+@settings(max_examples=150)
+def test_integer_matrices_match_dense_reference(m):
+    check_against_reference(m)
+
+
+@given(sized_matrices(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))))
+@settings(max_examples=150)
+def test_rational_matrices_match_dense_reference(m):
+    check_against_reference(m)
+
+
+def test_kernel_non_unit_pivot():
+    m = SparseMatrix.from_rows([[2, 1]])
+    assert kernel_basis(m) == [LinComb({0: Fraction(-1, 2), 1: 1})]
+    assert rank(m) == 1
+
+
+def test_rank_and_kernel_leave_entries_unchanged():
+    m = SparseMatrix.from_rows([[1, 1, 0], [1, 0, 1], [2, 1, 1], [0, 3, Fraction(1, 2)]])
+    before = dict(m.entries)
+    rank(m)
+    kernel_basis(m)
+    assert m.entries == before
+    assert all(type(c) is Fraction for c in m.entries.values())
