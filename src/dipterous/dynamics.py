@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .linalg import LinComb, as_fraction, bilinear, linear_terms
+from .linalg import LinComb, as_scalar, bilinear, linear_terms
 
 Word = tuple[str, ...]
 WordElement = LinComb  # over Word keys
@@ -180,7 +180,7 @@ def graph_coop(g: WeightedGraph) -> CoopTable:
     """
     rules: dict[str, list[tuple[Fraction, tuple[str, str]]]] = {v: [] for v in g.vertices}
     for v, w, weight in g.arcs:
-        rules[v].append((as_fraction(weight), (v, w)))
+        rules[v].append((as_scalar(weight), (v, w)))
     for v, options in rules.items():
         if not options:
             raise GrammarError(f"vertex {v!r} is a sink (no outgoing arcs)")

@@ -36,6 +36,7 @@ from .trees import (
     LEAF,
     BinaryTree,
     Forest,
+    Interned,
     NapTree,
     PlanarTree,
     Y1,
@@ -70,20 +71,20 @@ def word_str(word: Sequence[int]) -> str:
     return "".join(gen_name(i) for i in word)
 
 
-@dataclass(frozen=True)
-class DiptBasis:
+class DiptBasis(Interned):
     """Basis element: a forest tagged with one generator index per leaf."""
 
-    forest: Forest
-    word: tuple[int, ...]
+    __slots__ = ("forest", "word", "degree")
+    _fields = ("forest", "word")
 
-    def __post_init__(self):
-        if len(self.word) != self.forest.degree:
+    def __new__(cls, forest: Forest, word: tuple[int, ...]):
+        return cls._intern((forest, word))
+
+    @staticmethod
+    def _derive(forest, word) -> tuple:
+        if len(word) != forest.degree:
             raise ValueError("word length must equal the forest leaf count")
-
-    @property
-    def degree(self) -> int:
-        return self.forest.degree
+        return (forest.degree,)
 
     def __str__(self) -> str:
         return f"{self.forest} @ {word_str(self.word)}"
@@ -185,15 +186,24 @@ def apply_op_basis(op: str, a: DiptBasis, b: DiptBasis) -> DiptBasis:
     return star_basis(a, b) if op == OP_STAR else succ_basis(a, b)
 
 
+_DIPT_BASES: dict[tuple[int, int], tuple[DiptBasis, ...]] = {}
+
+
 def dipt_basis_of_degree(n: int, num_gens: int = 1) -> list[DiptBasis]:
-    """All degree-n basis elements over the given alphabet, canonically ordered."""
+    """All degree-n basis elements over the given alphabet, canonically ordered.
+
+    Each order is enumerated and sorted once; every call returns a new list.
+    """
     if n < 1:
         raise ValueError("degree must be >= 1")
-    words = [()]
-    for _ in range(n):
-        words = [w + (i,) for w in words for i in range(num_gens)]
-    out = [DiptBasis(f, w) for f in enumerate_forests(n) for w in words]
-    return sorted(out, key=str)
+    key = (n, num_gens)
+    if key not in _DIPT_BASES:
+        words = [()]
+        for _ in range(n):
+            words = [w + (i,) for w in words for i in range(num_gens)]
+        out = [DiptBasis(f, w) for f in enumerate_forests(n) for w in words]
+        _DIPT_BASES[key] = tuple(sorted(out, key=str))
+    return list(_DIPT_BASES[key])
 
 
 def reflect_tree(t: PlanarTree) -> PlanarTree:

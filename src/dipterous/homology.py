@@ -37,7 +37,7 @@ from .freealg import (
     succ_basis,
     word_str,
 )
-from .trees import Forest
+from .trees import Forest, Interned
 
 SYM_STAR = "*"
 SYM_SUCC = ">"
@@ -47,20 +47,20 @@ SYM_SUCC = ">"
 # Free Koszul-dual algebra on (word, tag) pairs.
 
 
-@dataclass(frozen=True)
-class QNBasis:
+class QNBasis(Interned):
     """A nonempty word with an optional trailing generator tag."""
 
-    word: tuple[int, ...]
-    tag: int | None = None
+    __slots__ = ("word", "tag", "degree")
+    _fields = ("word", "tag")
 
-    def __post_init__(self):
-        if not self.word:
+    def __new__(cls, word: tuple[int, ...], tag: int | None = None):
+        return cls._intern((word, tag))
+
+    @staticmethod
+    def _derive(word, tag) -> tuple:
+        if not word:
             raise ValueError("words are nonempty")
-
-    @property
-    def degree(self) -> int:
-        return len(self.word) + (0 if self.tag is None else 1)
+        return (len(word) + (0 if tag is None else 1),)
 
     def __str__(self) -> str:
         tag = "1" if self.tag is None else word_str((self.tag,))
@@ -126,28 +126,28 @@ def qn_universal_image(b: QNBasis, target_star, target_succ, generators):
 # Chain complex.
 
 
-@dataclass(frozen=True)
-class ChainKey:
+class ChainKey(Interned):
     """Basis chain: a symbol with n >= 2 algebra slots, or a bare slot."""
 
-    symbol: str | None
-    slots: tuple[DiptBasis, ...]
+    __slots__ = ("symbol", "slots", "weight")
+    _fields = ("symbol", "slots")
 
-    def __post_init__(self):
-        if not self.slots:
+    def __new__(cls, symbol: str | None, slots: tuple[DiptBasis, ...]):
+        return cls._intern((symbol, slots))
+
+    @staticmethod
+    def _derive(symbol, slots) -> tuple:
+        if not slots:
             raise ValueError("chains need at least one slot")
-        if (self.symbol is None) != (len(self.slots) == 1):
+        if (symbol is None) != (len(slots) == 1):
             raise ValueError("the symbol is carried exactly in arity >= 2")
-        if self.symbol not in (None, SYM_STAR, SYM_SUCC):
-            raise ValueError(f"unknown symbol {self.symbol!r}")
+        if symbol not in (None, SYM_STAR, SYM_SUCC):
+            raise ValueError(f"unknown symbol {symbol!r}")
+        return (sum(s.degree for s in slots),)
 
     @property
     def arity(self) -> int:
         return len(self.slots)
-
-    @property
-    def weight(self) -> int:
-        return sum(s.degree for s in self.slots)
 
     def __str__(self) -> str:
         if self.symbol is None:
@@ -162,8 +162,21 @@ def chain(symbol: str | None, slots: Iterable[DiptBasis]) -> ChainKey:
     return ChainKey(symbol, slots)
 
 
+_CHAINS: dict[tuple[int, int, int], tuple[ChainKey, ...]] = {}
+
+
 def chain_basis(arity: int, weight: int, num_gens: int = 1) -> list[ChainKey]:
-    """All basis chains of the given arity whose slot degrees sum to weight."""
+    """All basis chains of the given arity whose slot degrees sum to weight.
+
+    Each order is enumerated and sorted once; every call returns a new list.
+    """
+    key = (arity, weight, num_gens)
+    if key not in _CHAINS:
+        _CHAINS[key] = tuple(_enumerate_chains(arity, weight, num_gens))
+    return list(_CHAINS[key])
+
+
+def _enumerate_chains(arity: int, weight: int, num_gens: int) -> list[ChainKey]:
     if arity < 1 or weight < arity:
         return []
     if arity == 1:

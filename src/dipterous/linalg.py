@@ -2,12 +2,15 @@
 
 Everything downstream (primitive spaces, homology ranks, antipode
 recursions) reduces to kernel and rank computations over the rationals,
-so this module is deliberately float-free. LinComb coefficients are
-``fractions.Fraction``. Elimination is exact sparse Gaussian elimination
-over the rationals that keeps integral entries as ``int`` and prefers unit
-pivots, so a matrix with unit pivots never builds a ``Fraction``. Ranks
-come from the forward echelon form; kernels from the reduced row echelon
-form, which is unique and hence reproducible.
+so this module is deliberately float-free. A scalar (a LinComb
+coefficient or a matrix entry) is an ``int`` when it is integral and a
+``fractions.Fraction`` otherwise, never a float; every division goes
+through ``Fraction``. Elimination is exact sparse Gaussian elimination
+over the rationals: each row is first divided by its content, so it is a
+primitive integer vector, and unit pivots come first, so a matrix with
+unit pivots never builds a ``Fraction``. Ranks come from the forward
+echelon form; kernels from the reduced row echelon form, which is unique
+and hence reproducible.
 
 ``LinComb`` is the only element type. A tensor is a LinComb whose keys are
 tuples of basis keys (the arity of a term is the length of its key), and
@@ -21,16 +24,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Scalar = Fraction | int
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
-
-def as_fraction(c: Scalar | str) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
+def as_scalar(c: Scalar | str) -> Scalar:
+    """Exact value of ``c``: an ``int`` when integral, else a ``Fraction``."""
+    if type(c) is int:
+        return c
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def canon(key) -> str:
@@ -44,24 +50,30 @@ class LinComb:
     """Finitely supported map from basis keys to rationals.
 
     Zero coefficients are never stored, so two equal combinations have
-    identical term dicts. Keys may be anything hashable whose ``str`` is
-    canonical (equal elements stringify identically).
+    equal term dicts. Keys may be anything hashable whose ``str`` is
+    canonical (equal elements stringify identically). ``terms`` is a dict
+    or a stream of ``(key, coeff)`` pairs; repeated keys are summed.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping | Iterable[tuple] | None = None):
+    def __init__(self, terms: dict | Iterable[tuple] | None = None):
         data: dict = {}
         if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
+            items = terms.items() if isinstance(terms, dict) else terms
             for k, c in items:
-                c = as_fraction(c)
+                if type(c) is not int:
+                    c = as_scalar(c)
                 if c:
-                    acc = data.get(k, ZERO) + c
-                    if acc:
-                        data[k] = acc
+                    acc = data.get(k)
+                    if acc is None:
+                        data[k] = c
                     else:
-                        data.pop(k, None)
+                        acc += c
+                        if acc:
+                            data[k] = acc if type(acc) is int else as_scalar(acc)
+                        else:
+                            del data[k]
         self.terms = data
 
     @classmethod
@@ -72,8 +84,8 @@ class LinComb:
     def zero(cls) -> "LinComb":
         return cls()
 
-    def coeff(self, key) -> Fraction:
-        return self.terms.get(key, ZERO)
+    def coeff(self, key) -> Scalar:
+        return self.terms.get(key, 0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -96,9 +108,9 @@ class LinComb:
     def __add__(self, other: "LinComb") -> "LinComb":
         out = dict(self.terms)
         for k, c in other.terms.items():
-            acc = out.get(k, ZERO) + c
+            acc = out.get(k, 0) + c
             if acc:
-                out[k] = acc
+                out[k] = acc if type(acc) is int else as_scalar(acc)
             else:
                 out.pop(k, None)
         res = LinComb.__new__(LinComb)
@@ -112,9 +124,9 @@ class LinComb:
         return (-1) * self
 
     def __rmul__(self, c: Scalar) -> "LinComb":
-        c = as_fraction(c)
+        c = as_scalar(c)
         res = LinComb.__new__(LinComb)
-        res.terms = {} if not c else {k: c * v for k, v in self.terms.items()}
+        res.terms = {k: as_scalar(c * v) for k, v in self.terms.items()} if c else {}
         return res
 
     def __eq__(self, other) -> bool:
@@ -197,14 +209,14 @@ class SparseMatrix:
 
     nrows: int
     ncols: int
-    entries: Mapping[tuple[int, int], Fraction] = field(default_factory=dict)
+    entries: Mapping[tuple[int, int], Scalar] = field(default_factory=dict)
 
     def __post_init__(self):
         clean = {}
         for (i, j), c in self.entries.items():
             if not (0 <= i < self.nrows and 0 <= j < self.ncols):
                 raise ValueError(f"entry ({i}, {j}) out of bounds")
-            c = as_fraction(c)
+            c = as_scalar(c)
             if c:
                 clean[(i, j)] = c
         object.__setattr__(self, "entries", clean)
@@ -218,22 +230,22 @@ class SparseMatrix:
         for i, row in enumerate(rows):
             for j, c in enumerate(row):
                 if c:
-                    entries[(i, j)] = as_fraction(c)
+                    entries[(i, j)] = as_scalar(c)
         return cls(nrows, ncols, entries)
 
-    def row_dicts(self) -> list[dict[int, Fraction]]:
-        rows: list[dict[int, Fraction]] = [dict() for _ in range(self.nrows)]
+    def row_dicts(self) -> list[dict[int, Scalar]]:
+        rows: list[dict[int, Scalar]] = [dict() for _ in range(self.nrows)]
         for (i, j), c in self.entries.items():
             rows[i][j] = c
         return rows
 
     def apply(self, vec: LinComb) -> LinComb:
         """Multiply by a vector given as a LinComb over column indices."""
-        out: dict[int, Fraction] = {}
+        out: dict[int, Scalar] = {}
         for (i, j), c in self.entries.items():
             v = vec.coeff(j)
             if v:
-                acc = out.get(i, ZERO) + c * v
+                acc = out.get(i, 0) + c * v
                 if acc:
                     out[i] = acc
                 else:
@@ -244,8 +256,11 @@ class SparseMatrix:
 def _echelon(rows: list[dict[int, Scalar]], ncols: int) -> tuple[list[dict[int, Scalar]], list[int]]:
     """Forward row echelon form of fresh row dicts; returns (pivot rows, pivot columns).
 
-    Integral entries become ``int`` in place, so a matrix whose pivots are
-    all units is eliminated without a ``Fraction``. A column -> row-id index
+    Each row is first divided in place by its content (the gcd of its
+    numerators over the lcm of its denominators), which leaves a primitive
+    integer vector spanning the same line. A matrix whose pivots are then
+    all units, such as t * M for a rational t != 0 and an integer M with
+    unit pivots, is eliminated without a ``Fraction``. A column -> row-id index
     (lists that may hold stale or repeated ids, filtered when read) finds
     the candidate rows of each column. The pivot is a candidate with a +-1
     entry, fewest nonzeros first; elimination runs below the pivot only.
@@ -254,9 +269,12 @@ def _echelon(rows: list[dict[int, Scalar]], ncols: int) -> tuple[list[dict[int, 
     """
     index: list[list[int]] = [[] for _ in range(ncols)]
     for i, row in enumerate(rows):
-        for j, c in row.items():
-            if c.denominator == 1:
-                row[j] = c.numerator
+        num = gcd(*(c.numerator for c in row.values()))
+        den = lcm(*(c.denominator for c in row.values()))
+        if num != 1 or den != 1:
+            for j, c in row.items():
+                row[j] = c.numerator // num * (den // c.denominator)
+        for j in row:
             index[j].append(i)
     done = [False] * len(rows)
     pivot_rows: list[dict[int, Scalar]] = []
@@ -274,7 +292,7 @@ def _echelon(rows: list[dict[int, Scalar]], ncols: int) -> tuple[list[dict[int, 
         if lead == -1:
             prow = {j: -c for j, c in prow.items()}
         elif lead != 1:
-            inv = ONE / lead
+            inv = Fraction(1, lead)
             prow = {j: inv * c for j, c in prow.items()}
         for i in cands:
             if i == p:
@@ -332,7 +350,7 @@ def kernel_basis(m: SparseMatrix) -> list[LinComb]:
                         row[j] = acc
                     else:
                         row.pop(j, None)
-    vecs = {free: {free: ONE} for free in range(m.ncols) if free not in pos}
+    vecs = {free: {free: 1} for free in range(m.ncols) if free not in pos}
     for row, pcol in zip(rows, pivot_cols):
         for j, c in row.items():
             if j != pcol:
@@ -360,10 +378,12 @@ def intersect_kernels(ms: Sequence[SparseMatrix]) -> list[LinComb]:
 def matrix_of_images(images: Sequence[LinComb]) -> tuple[SparseMatrix, list]:
     """Matrix of a linear map from the images of ordered basis vectors.
 
-    Column j holds ``images[j]``; rows are the union of output keys, ordered
-    canonically. Returns the matrix together with the row key list.
+    Column j holds ``images[j]``; rows are the union of output keys, in
+    order of first appearance (row order changes neither the rank nor the
+    reduced echelon kernel). Returns the matrix together with the row key
+    list.
     """
-    row_keys = sorted({k for img in images for k in img.terms}, key=canon)
+    row_keys = list(dict.fromkeys(k for img in images for k in img.terms))
     index = {k: i for i, k in enumerate(row_keys)}
     entries = {}
     for j, img in enumerate(images):

@@ -8,14 +8,19 @@ forests of such trees are counted by the large Schroeder numbers
 (1, 2, 6, 22, 90, ...).
 
 Each kind of tree has one canonical text encoding which doubles as its
-hash/sort key; see ``encode``/``parse``. Enumerations are ordered by degree
+sort key; see ``encode``/``parse``. Enumerations are ordered by degree
 then lexicographically on encodings so downstream matrices are reproducible.
 Enumeration caches are append-only dicts and safe for concurrent readers.
+
+Planar trees and forests, like the basis keys built on them elsewhere,
+are hash-consed (``Interned``): each distinct value is built once and kept
+in a per-class table, so equal keys are the same object, and hashing and
+equality are by identity and never walk a tree. The tables only grow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 
 
@@ -25,29 +30,73 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
-class PlanarTree:
-    """A planar rooted tree whose internal nodes all have >= 2 children.
+class Interned:
+    """Base of hash-consed keys: equal fields always give the same instance.
 
-    The leaf is ``PlanarTree()`` with no children.
+    A subclass names its fields in ``_fields`` and lists them first in
+    ``__slots__``, followed by the values its static ``_derive(*fields)``
+    computes from them (raising ``ValueError`` on a bad shape); its
+    ``__new__`` builds every instance through ``_intern``. Each subclass
+    keeps one table from field tuples to instances, so equality and hashing
+    are the default identity ones and never recurse. Instances are
+    immutable, and copying or unpickling one returns the interned instance.
     """
 
-    children: tuple["PlanarTree", ...] = ()
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _table: dict
 
-    def __post_init__(self):
-        if len(self.children) == 1:
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._table = {}
+
+    @classmethod
+    def _intern(cls, fields: tuple):
+        self = cls._table.get(fields)
+        if self is None:
+            self = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields + cls._derive(*fields)):
+                object.__setattr__(self, name, value)
+            # setdefault keeps one instance if two threads race here.
+            self = cls._table.setdefault(fields, self)
+        return self
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
+
+
+class PlanarTree(Interned):
+    """A planar rooted tree whose internal nodes all have >= 2 children.
+
+    The leaf is ``PlanarTree()`` with no children; ``degree`` is the number
+    of leaves.
+    """
+
+    __slots__ = ("children", "degree")
+    _fields = ("children",)
+
+    def __new__(cls, children: tuple["PlanarTree", ...] = ()):
+        return cls._intern((children,))
+
+    @staticmethod
+    def _derive(children) -> tuple:
+        if len(children) == 1:
             raise ValueError("unary nodes are not in the Schroeder basis")
+        return (sum(c.degree for c in children) if children else 1,)
 
     @property
     def is_leaf(self) -> bool:
         return not self.children
-
-    @cached_property
-    def degree(self) -> int:
-        """Number of leaves."""
-        if self.is_leaf:
-            return 1
-        return sum(c.degree for c in self.children)
 
     def __str__(self) -> str:
         if self.is_leaf:
@@ -58,19 +107,20 @@ class PlanarTree:
 LEAF = PlanarTree()
 
 
-@dataclass(frozen=True)
-class Forest:
+class Forest(Interned):
     """A nonempty ordered sequence of planar trees."""
 
-    trees: tuple[PlanarTree, ...]
+    __slots__ = ("trees", "degree")
+    _fields = ("trees",)
 
-    def __post_init__(self):
-        if not self.trees:
+    def __new__(cls, trees: tuple[PlanarTree, ...]):
+        return cls._intern((trees,))
+
+    @staticmethod
+    def _derive(trees) -> tuple:
+        if not trees:
             raise ValueError("forests are nonempty")
-
-    @cached_property
-    def degree(self) -> int:
-        return sum(t.degree for t in self.trees)
+        return (sum(t.degree for t in trees),)
 
     def __len__(self) -> int:
         return len(self.trees)

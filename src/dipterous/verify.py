@@ -284,6 +284,15 @@ def delta_coassoc_witness(max_degree: int, t: Fraction) -> str | None:
     return None
 
 
+def delta_nondegenerate_witness(ts) -> str | None:
+    """Delta_t must not vanish on all of degree 2 for each t; at t = 0 it
+    does, so the coassociativity check there holds vacuously."""
+    for t in ts:
+        if not any(delta_basis(b, t) for b in dipt_basis_of_degree(2)):
+            return f"t={t}: delta vanishes on degree 2"
+    return None
+
+
 def unital_coassoc_witness(cop_basis, max_degree: int) -> str | None:
     def expand(k):
         if k == UNIT:
@@ -349,6 +358,8 @@ def coassoc_suite(max_degree: int = 4, seed: int = 0) -> list[Check]:
     for t in (Fraction(0), Fraction(1), Fraction(2)):
         w = delta_coassoc_witness(max_degree, t)
         checks.append(Check(f"delta coassociative (t={t})", w is None, w))
+    w = delta_nondegenerate_witness((Fraction(1), Fraction(2)))
+    checks.append(Check("delta nonzero on degree 2 (t=1, t=2)", w is None, w))
     for name, cop in (("semi-Hopf", blacktriangle_basis), ("semi-infinitesimal", vartriangle_basis), ("cocommutative", hopf_delta_basis)):
         w = unital_coassoc_witness(cop, max_degree)
         checks.append(Check(f"{name} coproduct coassociative", w is None, w))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -210,3 +211,33 @@ def test_json_outputs_are_deterministic(capsys):
     code2, out2, _ = run(capsys, "prim", "semiinf", "--json", "--max-degree", "3")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def _floats(node, path="$"):
+    """Paths of every float in a parsed JSON document, and of every string
+    (a printed coefficient, say) that holds a decimal-point number."""
+    if isinstance(node, float):
+        return [path]
+    if isinstance(node, str):
+        return [path] if re.search(r"\d\.\d|\b(inf|nan)\b", node) else []
+    if isinstance(node, dict):
+        return [p for k, v in node.items() for p in _floats(v, f"{path}.{k}")]
+    if isinstance(node, list):
+        return [p for i, v in enumerate(node) for p in _floats(v, f"{path}[{i}]")]
+    return []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["antipode", "4", "--max-degree", "4"],
+        ["homology", "--weight-cap", "5"],
+        ["prim", "both", "--max-degree", "5", "--t", "1/2"],
+        ["verify", "all"],
+    ],
+    ids=["antipode", "homology", "prim", "verify"],
+)
+def test_json_reports_hold_no_float(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code in (0, 1)
+    assert _floats(json.loads(out)) == []

@@ -120,6 +120,15 @@ def test_filtration_dim_counts_prim_basis(t):
         assert filtration_dim(1, n, params) == len(prim_basis(n, params))
 
 
+def test_half_t_primitives_equal_t_one():
+    # Delta_{1/2} = Delta_1 / 2 has the same kernel, and after row content
+    # division the same unit pivots.
+    half, one = CoproductParams(Fraction(1, 2)), CoproductParams(Fraction(1))
+    for n in range(1, 7):
+        assert filtration_dim(1, n, half) == filtration_dim(1, n, one)
+        assert prim_basis(n, half) == prim_basis(n, one)
+
+
 def test_delta_scales_linearly_in_t():
     # Delta_t = t * Delta_1: every summand of the recursion carries one t.
     for n in range(1, 6):

@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 from dipterous.linalg import (
     LinComb,
     SparseMatrix,
+    _echelon,
     intersect_kernels,
     kernel_basis,
+    kernel_of_operator,
     map_slot,
     matrix_of_images,
+    operator_rank,
     rank,
     tensor_product,
 )
@@ -119,11 +122,31 @@ def test_rank_nullity_and_kernel_vectors(m):
         assert m.apply(vec).is_zero()
 
 
-def test_matrix_of_images_orders_rows_canonically():
+def test_matrix_of_images_orders_rows_by_first_appearance():
     images = [LinComb({"b": 1}), LinComb({"a": 2, "b": 1})]
     m, row_keys = matrix_of_images(images)
-    assert row_keys == ["a", "b"]
-    assert m.entries == {(1, 0): 1, (0, 1): 2, (1, 1): 1}
+    assert row_keys == ["b", "a"]
+    assert m.entries == {(0, 0): 1, (1, 1): 2, (0, 1): 1}
+
+
+ROW_KEYS = "pqrst"
+images_lists = st.lists(
+    st.dictionaries(st.sampled_from(ROW_KEYS), st.integers(-3, 3), max_size=4).map(LinComb),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(images_lists, st.permutations(ROW_KEYS))
+@settings(max_examples=150)
+def test_row_key_permutation_keeps_rank_and_kernel(images, perm):
+    # Listing each image's terms in the order ``perm`` gives the row keys
+    # that order of first appearance, so the matrix rows are permuted.
+    moved = [LinComb({k: img.coeff(k) for k in perm if img.coeff(k)}) for img in images]
+    assert sorted(matrix_of_images(moved)[1]) == sorted(matrix_of_images(images)[1])
+    basis = list(range(len(images)))
+    assert operator_rank(moved) == operator_rank(images)
+    assert kernel_of_operator(basis, moved) == kernel_of_operator(basis, images)
 
 
 def test_tensor_element_arity_checks():
@@ -210,4 +233,52 @@ def test_rank_and_kernel_leave_entries_unchanged():
     rank(m)
     kernel_basis(m)
     assert m.entries == before
-    assert all(type(c) is Fraction for c in m.entries.values())
+    assert [(c, type(c)) for c in m.entries.values()] == [(c, type(c)) for c in before.values()]
+
+
+def is_exact(c) -> bool:
+    """An int, or a Fraction that is not integral."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+mixed_scalars = st.one_of(st.integers(-5, 5), fractions)
+
+
+@given(
+    st.dictionaries(st.sampled_from("pqrst"), mixed_scalars, max_size=5).map(LinComb),
+    st.dictionaries(st.sampled_from("pqrst"), mixed_scalars, max_size=5).map(LinComb),
+    mixed_scalars,
+)
+def test_lincomb_arithmetic_keeps_exact_scalars(a, b, s):
+    for out in (a + b, a - b, s * a, -a, tensor_product(a, b)):
+        assert all(is_exact(c) for c in out.terms.values())
+
+
+@given(sized_matrices(st.one_of(st.integers(-4, 4), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))))
+@settings(max_examples=100)
+def test_kernel_vectors_hold_exact_scalars(m):
+    assert all(is_exact(c) for c in m.entries.values())
+    for vec in kernel_basis(m):
+        assert all(is_exact(c) for c in vec.terms.values())
+
+
+def test_integral_scalars_are_ints():
+    half = LinComb({"p": Fraction(1, 2)})
+    sums = [LinComb({"p": Fraction(4, 2)}), half + half, LinComb([("p", Fraction(1, 2))] * 2), 2 * half]
+    assert [(x.terms, type(x.coeff("p"))) for x in sums] == [({"p": 2}, int)] + [({"p": 1}, int)] * 3
+    assert type(SparseMatrix.from_rows([[Fraction(3, 1), "1/2"]]).entries[(0, 0)]) is int
+
+
+def test_content_division_gives_unit_pivots():
+    # Every entry is 1/2: after dividing rows by their content, each pivot
+    # is a unit and no Fraction is built.
+    half = Fraction(1, 2)
+    m = SparseMatrix.from_rows([[half, half, 0], [0, half, half], [half, 0, -half]])
+    rows, pivots = _echelon(m.row_dicts(), m.ncols)
+    assert pivots == [0, 1]
+    assert all(type(c) is int for row in rows for c in row.values())
+    assert kernel_basis(m) == [LinComb({0: 1, 1: -1, 2: 1})]
+    # Integer rows with content 2 and 3 become the unit rows (1, 2), (1, 1).
+    rows, pivots = _echelon(SparseMatrix.from_rows([[2, 4], [3, 3]]).row_dicts(), 2)
+    assert pivots == [0, 1]
+    assert all(type(c) is int for row in rows for c in row.values())
