@@ -22,19 +22,22 @@ the cocommutative one are algebra morphisms, so each is ``eval_basis``
 into its tensor square (semi and classical structure respectively) with
 generator image 1 (x) g + g (x) 1. The unital semi-infinitesimal one (whose
 reduction coincides with the nonunital coproduct in ``coproducts``) is not
-a morphism and has its own memoized recursion over the canonical basis
-splitting. Each coproduct has an antipode-style convolution inverse
-computed by degree recursion.
+a morphism and has its own recursion over the canonical basis splitting.
+Each coproduct has an antipode-style convolution inverse computed by degree
+recursion. Both recursions are cached per argument tuple under
+``functools.cache``; the antipode's key includes the coproduct it inverts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from itertools import chain, permutations
 
 from .linalg import (
     LinComb,
+    Scalar,
     bilinear,
     kernel_of_operator,
     linear_terms,
@@ -42,6 +45,7 @@ from .linalg import (
     operator_rank,
 )
 from .freealg import (
+    OP_STAR,
     AlgebraTarget,
     DiptBasis,
     decompose_basis,
@@ -83,7 +87,7 @@ unital_star = bilinear(_u_star)
 unital_succ = bilinear(_u_succ)
 
 
-def counit(x: LinComb) -> Fraction:
+def counit(x: LinComb) -> Scalar:
     return x.coeff(UNIT)
 
 
@@ -129,30 +133,24 @@ def _square(tensor_star, tensor_succ) -> AlgebraTarget:
 SEMI_SQUARE = _square(semi_tensor_star, semi_tensor_succ)
 CLASSICAL_SQUARE = _square(classical_tensor_star, classical_tensor_succ)
 
-_VAR: dict[DiptBasis, LinComb] = {}
-
 
 def blacktriangle_basis(x: DiptBasis) -> LinComb:
     """Multiplicative coproduct: the morphism into the semi tensor square."""
     return eval_basis(x, SEMI_SQUARE)
 
 
+@cache
 def vartriangle_basis(x: DiptBasis) -> LinComb:
     """Unital semi-infinitesimal coproduct."""
-    cached = _VAR.get(x)
-    if cached is None:
-        if x.degree == 1:
-            cached = _pair(UNIT, x) + _pair(x, UNIT)
-        else:
-            op, left, right = decompose_basis(x)
-            tensor_op = semi_tensor_star if op == "star" else semi_tensor_succ
-            cached = (
-                tensor_op(vartriangle_basis(left), _pair(UNIT, right))
-                + tensor_op(_pair(left, UNIT), vartriangle_basis(right))
-                - _pair(left, right)
-            )
-        _VAR[x] = cached
-    return cached
+    if x.degree == 1:
+        return _pair(UNIT, x) + _pair(x, UNIT)
+    op, left, right = decompose_basis(x)
+    tensor_op = semi_tensor_star if op == OP_STAR else semi_tensor_succ
+    return (
+        tensor_op(vartriangle_basis(left), _pair(UNIT, right))
+        + tensor_op(_pair(left, UNIT), vartriangle_basis(right))
+        - _pair(left, right)
+    )
 
 
 def hopf_delta_basis(x: DiptBasis) -> LinComb:
@@ -188,8 +186,7 @@ def reduced(cop, x: LinComb) -> LinComb:
 
 
 def reduced_basis(cop_basis, key: DiptBasis) -> LinComb:
-    out = cop_basis(key) - _pair(UNIT, key) - _pair(key, UNIT)
-    return out
+    return cop_basis(key) - _pair(UNIT, key) - _pair(key, UNIT)
 
 
 def tau(te: LinComb) -> LinComb:
@@ -219,39 +216,34 @@ def prim_2as(n: int) -> tuple[int, list[LinComb]]:
 # ---------------------------------------------------------------------------
 # Antipodes.
 
-_S: dict[DiptBasis, LinComb] = {}
-_SPRIME: dict[DiptBasis, LinComb] = {}
+
+@cache
+def _antipode_basis(key: DiptBasis, cop_basis) -> LinComb:
+    terms = (
+        (star_basis(k, b), -c * d)
+        for (a, b), c in reduced_basis(cop_basis, key).items()
+        for k, d in _antipode_basis(a, cop_basis).items()
+    )
+    return LinComb(chain([(key, -1)], terms))
 
 
-def _antipode_basis(key: DiptBasis, cop_basis, memo) -> LinComb:
-    cached = memo.get(key)
-    if cached is None:
-        terms = (
-            (star_basis(k, b), -c * d)
-            for (a, b), c in reduced_basis(cop_basis, key).items()
-            for k, d in _antipode_basis(a, cop_basis, memo).items()
-        )
-        cached = memo[key] = LinComb(chain([(key, -1)], terms))
-    return cached
-
-
-def _antipode(x: LinComb, cop_basis, memo) -> LinComb:
+def _antipode(x: LinComb, cop_basis) -> LinComb:
     """Linear extension of ``_antipode_basis`` that fixes the unit."""
 
     def image(key) -> LinComb:
-        return LinComb.basis(UNIT) if key == UNIT else _antipode_basis(key, cop_basis, memo)
+        return LinComb.basis(UNIT) if key == UNIT else _antipode_basis(key, cop_basis)
 
     return LinComb(linear_terms(image, x))
 
 
 def antipode_S(x: LinComb) -> LinComb:
     """Convolution inverse of the identity for the multiplicative coproduct."""
-    return _antipode(x, blacktriangle_basis, _S)
+    return _antipode(x, blacktriangle_basis)
 
 
 def antipode_Sprime(x: LinComb) -> LinComb:
     """Convolution inverse for the semi-infinitesimal coproduct."""
-    return _antipode(x, vartriangle_basis, _SPRIME)
+    return _antipode(x, vartriangle_basis)
 
 
 def convolve(f, cop, x: LinComb, side: str = "left") -> LinComb:

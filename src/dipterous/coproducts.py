@@ -19,13 +19,16 @@ coalgebra of words, which yields the dimension bookkeeping
 
     forests_n = sum over compositions of products of primitive dims.
 
-Memo tables are keyed by (basis key, t); writes are idempotent.
+The coproduct and the idempotent are cached per (basis key, t) and per
+basis key under ``functools.cache``, so every caller passes t positionally
+to share one entry; ``cache_info``/``cache_clear`` report and free them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from typing import Iterator, Sequence
 
@@ -61,27 +64,19 @@ class CoproductParams:
 
 DEFAULT = CoproductParams()
 
-_DELTA: dict[tuple[DiptBasis, Fraction], LinComb] = {}
 
-
+@cache
 def delta_basis(x: DiptBasis, t: Fraction = Fraction(1)) -> LinComb:
-    key = (x, t)
-    cached = _DELTA.get(key)
-    if cached is not None:
-        return cached
     if x.degree == 1:
-        out = LinComb()
-    else:
-        op, left, right = decompose_basis(x)
-        out = LinComb(
-            chain(
-                (((a, apply_op_basis(op, b, right)), c) for (a, b), c in delta_basis(left, t).items()),
-                (((star_basis(left, a), b), c) for (a, b), c in delta_basis(right, t).items()),
-                [((left, right), t)],
-            )
+        return LinComb()
+    op, left, right = decompose_basis(x)
+    return LinComb(
+        chain(
+            (((a, apply_op_basis(op, b, right)), c) for (a, b), c in delta_basis(left, t).items()),
+            (((star_basis(left, a), b), c) for (a, b), c in delta_basis(right, t).items()),
+            [((left, right), t)],
         )
-    _DELTA[key] = out
-    return out
+    )
 
 
 def delta(x: LinComb, params: CoproductParams = DEFAULT) -> LinComb:
@@ -183,23 +178,17 @@ def corolla_iso_check(n: int) -> bool:
     return img.coeff(corolla_key) == 1
 
 
-_E: dict[DiptBasis, LinComb] = {}
-
-
 def e_idempotent(x: LinComb) -> LinComb:
     """Projection onto primitives: e(x) = x - x1 * e(x2), recursively."""
     return LinComb(linear_terms(_e_basis, x))
 
 
+@cache
 def _e_basis(x: DiptBasis) -> LinComb:
-    cached = _E.get(x)
-    if cached is not None:
-        return cached
     acc = [(x, 1)]
-    for (a, b), c in delta_basis(x).items():
+    for (a, b), c in delta_basis(x, DEFAULT.t).items():
         acc.extend((star_basis(a, k), -c * d) for k, d in _e_basis(b).items())
-    out = _E[x] = LinComb(acc)
-    return out
+    return LinComb(acc)
 
 
 def asc_deconcat(word: tuple[int, ...]) -> LinComb:

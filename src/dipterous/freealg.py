@@ -20,14 +20,16 @@ generator to a given image. Morphic coproducts elsewhere are this
 evaluation into a tensor square. Each target carries its own memo of
 images, so two targets never share entries.
 
-Memo tables are keyed by canonical basis keys; writes are idempotent, so
-concurrent reads and racing writes are safe.
+The splitting and the basis enumerations are computed once per argument
+tuple under ``functools.cache``; ``cache_info``/``cache_clear`` on the
+function report and free them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
+from itertools import product
 from typing import Callable, Mapping, Sequence
 
 from .linalg import LinComb, bilinear
@@ -144,9 +146,7 @@ succ = bilinear(succ_basis)
 rdipt_prec = bilinear(prec_basis)
 
 
-_DECOMP: dict[DiptBasis, tuple[str, DiptBasis, DiptBasis]] = {}
-
-
+@cache
 def decompose_basis(x: DiptBasis) -> tuple[str, DiptBasis, DiptBasis]:
     """Canonical splitting of a degree >= 2 basis element.
 
@@ -157,25 +157,19 @@ def decompose_basis(x: DiptBasis) -> tuple[str, DiptBasis, DiptBasis]:
     """
     if x.degree < 2:
         raise ValueError("generator has no decomposition")
-    cached = _DECOMP.get(x)
-    if cached is not None:
-        return cached
     trees = x.forest.trees
     if len(trees) >= 2:
         d = trees[0].degree
         left = DiptBasis(Forest(trees[:1]), x.word[:d])
         right = DiptBasis(Forest(trees[1:]), x.word[d:])
-        result = (OP_STAR, left, right)
-    else:
-        children = trees[0].children
-        last = children[-1]
-        d = x.degree - last.degree
-        left = DiptBasis(Forest(children[:-1]), x.word[:d])
-        branches = (last,) if last.is_leaf else last.children
-        right = DiptBasis(Forest(branches), x.word[d:])
-        result = (OP_SUCC, left, right)
-    _DECOMP[x] = result
-    return result
+        return (OP_STAR, left, right)
+    children = trees[0].children
+    last = children[-1]
+    d = x.degree - last.degree
+    left = DiptBasis(Forest(children[:-1]), x.word[:d])
+    branches = (last,) if last.is_leaf else last.children
+    right = DiptBasis(Forest(branches), x.word[d:])
+    return (OP_SUCC, left, right)
 
 
 def apply_op(op: str, x: LinComb, y: LinComb) -> LinComb:
@@ -186,24 +180,21 @@ def apply_op_basis(op: str, a: DiptBasis, b: DiptBasis) -> DiptBasis:
     return star_basis(a, b) if op == OP_STAR else succ_basis(a, b)
 
 
-_DIPT_BASES: dict[tuple[int, int], tuple[DiptBasis, ...]] = {}
-
-
 def dipt_basis_of_degree(n: int, num_gens: int = 1) -> list[DiptBasis]:
     """All degree-n basis elements over the given alphabet, canonically ordered.
 
     Each order is enumerated and sorted once; every call returns a new list.
     """
+    return list(_dipt_basis(n, num_gens))
+
+
+@cache
+def _dipt_basis(n: int, num_gens: int) -> tuple[DiptBasis, ...]:
     if n < 1:
         raise ValueError("degree must be >= 1")
-    key = (n, num_gens)
-    if key not in _DIPT_BASES:
-        words = [()]
-        for _ in range(n):
-            words = [w + (i,) for w in words for i in range(num_gens)]
-        out = [DiptBasis(f, w) for f in enumerate_forests(n) for w in words]
-        _DIPT_BASES[key] = tuple(sorted(out, key=str))
-    return list(_DIPT_BASES[key])
+    words = list(product(range(num_gens), repeat=n))
+    out = [DiptBasis(f, w) for f in enumerate_forests(n) for w in words]
+    return tuple(sorted(out, key=str))
 
 
 def reflect_tree(t: PlanarTree) -> PlanarTree:
@@ -300,9 +291,7 @@ ldipt_succ = bilinear(ldipt_succ_basis)
 def ldipt_basis_of_degree(n: int, num_gens: int = 1) -> list[LDiptBasis]:
     if n < 1:
         raise ValueError("degree must be >= 1")
-    words = [()]
-    for _ in range(n):
-        words = [w + (i,) for w in words for i in range(num_gens)]
+    words = list(product(range(num_gens), repeat=n))
     out = [LDiptBasis(t, w) for t in enumerate_binary(n) for w in words]
     return sorted(out, key=str)
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import product
 from typing import Callable, Iterable
 
 from .linalg import LinComb, bilinear, linear_terms, operator_rank
@@ -94,15 +95,13 @@ qn_succ = bilinear(qn_succ_basis)
 def qn_basis_of_degree(n: int, num_gens: int = 1) -> list[QNBasis]:
     if n < 1:
         raise ValueError("degree must be >= 1")
-    words: list[tuple[int, ...]] = [()]
-    for _ in range(n):
-        words = [w + (i,) for w in words for i in range(num_gens)]
-    out = [QNBasis(w, None) for w in words]
+    out = [QNBasis(w, None) for w in product(range(num_gens), repeat=n)]
     if n >= 2:
-        shorter: list[tuple[int, ...]] = [()]
-        for _ in range(n - 1):
-            shorter = [w + (i,) for w in shorter for i in range(num_gens)]
-        out += [QNBasis(w, i) for w in shorter for i in range(num_gens)]
+        out += [
+            QNBasis(w, i)
+            for w in product(range(num_gens), repeat=n - 1)
+            for i in range(num_gens)
+        ]
     return sorted(out, key=str)
 
 
@@ -162,25 +161,20 @@ def chain(symbol: str | None, slots: Iterable[DiptBasis]) -> ChainKey:
     return ChainKey(symbol, slots)
 
 
-_CHAINS: dict[tuple[int, int, int], tuple[ChainKey, ...]] = {}
-
-
 def chain_basis(arity: int, weight: int, num_gens: int = 1) -> list[ChainKey]:
     """All basis chains of the given arity whose slot degrees sum to weight.
 
     Each order is enumerated and sorted once; every call returns a new list.
     """
-    key = (arity, weight, num_gens)
-    if key not in _CHAINS:
-        _CHAINS[key] = tuple(_enumerate_chains(arity, weight, num_gens))
-    return list(_CHAINS[key])
+    return list(_chain_basis(arity, weight, num_gens))
 
 
-def _enumerate_chains(arity: int, weight: int, num_gens: int) -> list[ChainKey]:
+@cache
+def _chain_basis(arity: int, weight: int, num_gens: int) -> tuple[ChainKey, ...]:
     if arity < 1 or weight < arity:
-        return []
+        return ()
     if arity == 1:
-        return [ChainKey(None, (b,)) for b in dipt_basis_of_degree(weight, num_gens)]
+        return tuple(ChainKey(None, (b,)) for b in dipt_basis_of_degree(weight, num_gens))
 
     def slot_tuples(rest: int, parts: int):
         if parts == 1:
@@ -196,7 +190,7 @@ def _enumerate_chains(arity: int, weight: int, num_gens: int) -> list[ChainKey]:
         for sym in (SYM_STAR, SYM_SUCC)
         for slots in slot_tuples(weight, arity)
     ]
-    return sorted(out, key=str)
+    return tuple(sorted(out, key=str))
 
 
 def face_basis(i: int, key: ChainKey) -> ChainKey:

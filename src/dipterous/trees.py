@@ -10,7 +10,9 @@ forests of such trees are counted by the large Schroeder numbers
 Each kind of tree has one canonical text encoding which doubles as its
 sort key; see ``encode``/``parse``. Enumerations are ordered by degree
 then lexicographically on encodings so downstream matrices are reproducible.
-Enumeration caches are append-only dicts and safe for concurrent readers.
+Each enumeration is computed once per argument tuple under ``functools.cache``
+and returned as an immutable tuple; ``cache_info``/``cache_clear`` on the
+function report and free it.
 
 Planar trees and forests, like the basis keys built on them elsewhere,
 are hash-consed (``Interned``): each distinct value is built once and kept
@@ -21,7 +23,8 @@ equality are by identity and never walk a tree. The tables only grow.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import product
 
 
 class ParseError(ValueError):
@@ -208,11 +211,6 @@ def corolla(n: int) -> PlanarTree:
     return PlanarTree((LEAF,) * n)
 
 
-_TREES: dict[int, tuple[PlanarTree, ...]] = {}
-_FORESTS: dict[int, tuple[Forest, ...]] = {}
-_BINARY: dict[int, tuple[BinaryTree, ...]] = {}
-
-
 def _compositions(n: int, min_parts: int):
     """Ordered compositions of n into >= min_parts positive parts."""
     def rec(rest: int, parts: tuple[int, ...]):
@@ -226,59 +224,48 @@ def _compositions(n: int, min_parts: int):
     yield from rec(n, ())
 
 
+@cache
 def enumerate_trees(n: int) -> tuple[PlanarTree, ...]:
     """All planar trees of degree n, sorted by encoding."""
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
-    if n not in _TREES:
-        if n == 1:
-            out = (LEAF,)
-        else:
-            found = []
-            for comp in _compositions(n, 2):
-                choices = [enumerate_trees(k) for k in comp]
-                stack = [()]
-                for opts in choices:
-                    stack = [pre + (t,) for pre in stack for t in opts]
-                found.extend(PlanarTree(ch) for ch in stack)
-            out = tuple(sorted(found, key=str))
-        _TREES[n] = out
-    return _TREES[n]
+    if n == 1:
+        return (LEAF,)
+    found = (
+        PlanarTree(children)
+        for comp in _compositions(n, 2)
+        for children in product(*map(enumerate_trees, comp))
+    )
+    return tuple(sorted(found, key=str))
 
 
+@cache
 def enumerate_forests(n: int) -> tuple[Forest, ...]:
     """All forests of total degree n, sorted by encoding."""
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
-    if n not in _FORESTS:
-        found = []
-        for comp in _compositions(n, 1):
-            choices = [enumerate_trees(k) for k in comp]
-            stack = [()]
-            for opts in choices:
-                stack = [pre + (t,) for pre in stack for t in opts]
-            found.extend(Forest(ch) for ch in stack)
-        _FORESTS[n] = tuple(sorted(found, key=str))
-    return _FORESTS[n]
+    found = (
+        Forest(trees)
+        for comp in _compositions(n, 1)
+        for trees in product(*map(enumerate_trees, comp))
+    )
+    return tuple(sorted(found, key=str))
 
 
+@cache
 def enumerate_binary(n: int) -> tuple[BinaryTree, ...]:
     """All binary trees with n internal nodes (Catalan many), sorted."""
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
-    if n not in _BINARY:
-        if n == 0:
-            out = (BLEAF,)
-        else:
-            found = [
-                BinaryTree(l, r)
-                for k in range(n)
-                for l in enumerate_binary(k)
-                for r in enumerate_binary(n - 1 - k)
-            ]
-            out = tuple(sorted(found, key=str))
-        _BINARY[n] = out
-    return _BINARY[n]
+    if n == 0:
+        return (BLEAF,)
+    found = (
+        BinaryTree(l, r)
+        for k in range(n)
+        for l in enumerate_binary(k)
+        for r in enumerate_binary(n - 1 - k)
+    )
+    return tuple(sorted(found, key=str))
 
 
 def bin_graft(l: BinaryTree, r: BinaryTree) -> BinaryTree:
@@ -312,21 +299,15 @@ def nap_graft(t: NapTree, s: NapTree) -> NapTree:
     return NapTree(t.label, t.children + (s,))
 
 
-_NAP: dict[tuple[int, tuple[str, ...]], tuple[NapTree, ...]] = {}
-
-
+@cache
 def enumerate_nap(n: int, labels: tuple[str, ...] = ("v",)) -> tuple[NapTree, ...]:
     """All labeled rooted trees with n nodes over the label alphabet."""
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
-    key = (n, labels)
-    if key not in _NAP:
-        found = []
-        for label in labels:
-            for kids in _nap_multisets(n - 1, labels):
-                found.append(NapTree(label, kids))
-        _NAP[key] = tuple(sorted(set(found), key=str))
-    return _NAP[key]
+    found = {
+        NapTree(label, kids) for label in labels for kids in _nap_multisets(n - 1, labels)
+    }
+    return tuple(sorted(found, key=str))
 
 
 def _nap_multisets(total: int, labels: tuple[str, ...]) -> list[tuple[NapTree, ...]]:

@@ -40,6 +40,8 @@ from .coproducts import (
     semi_inf_rhs,
 )
 from .freealg import (
+    OP_STAR,
+    OP_SUCC,
     PermNapBasis,
     dipt_basis_of_degree,
     ldipt_basis_of_degree,
@@ -50,7 +52,9 @@ from .freealg import (
     rdipt_prec,
     reflect,
     star,
+    star_basis,
     succ,
+    succ_basis,
 )
 from .homology import qn_basis_of_degree, qn_star, qn_succ
 from .series import little_schroeder
@@ -77,28 +81,35 @@ def _elems(degrees, num_gens=1):
     return out
 
 
-def _first_failure(triples, lhs_rhs) -> str | None:
-    for xs in triples:
+def _first_failure(tuples, lhs_rhs) -> str | None:
+    """The first tuple on which the two sides differ, as text, or None."""
+    for xs in tuples:
         lhs, rhs = lhs_rhs(*xs)
         if lhs != rhs:
-            return " ; ".join(repr(x) for x in xs)
+            return " ; ".join(str(x) for x in xs)
     return None
 
 
-def _degree_triples(make, max_total: int):
-    """All basis triples with total degree <= max_total."""
-    for na in range(1, max_total - 1):
-        for nb in range(1, max_total - na):
-            for nc in range(1, max_total - na - nb + 1):
-                for a in make(na):
-                    for b in make(nb):
-                        for c in make(nc):
-                            yield a, b, c
+def _degree_tuples(make, arity: int, max_total: int):
+    """All ``arity``-tuples of elements of positive degrees summing to at
+    most max_total, ordered by their degree tuples, then as ``make`` lists
+    each degree."""
+
+    def degrees(parts: int, budget: int):
+        if parts == 0:
+            yield ()
+            return
+        for d in range(1, budget - parts + 2):
+            for rest in degrees(parts - 1, budget - d):
+                yield (d,) + rest
+
+    for ds in degrees(arity, max_total):
+        yield from itertools.product(*map(make, ds))
 
 
 def check_dipterous_axioms(max_total: int = 6) -> list[Check]:
     make = lambda n: _elems([n])
-    triples = list(_degree_triples(make, max_total))
+    triples = list(_degree_tuples(make, 3, max_total))
     w1 = _first_failure(
         triples, lambda x, y, z: (star(star(x, y), z), star(x, star(y, z)))
     )
@@ -113,24 +124,19 @@ def check_dipterous_axioms(max_total: int = 6) -> list[Check]:
 
 def check_right_dipterous_axioms(max_total: int = 4) -> list[Check]:
     make = lambda n: _elems([n])
-    triples = list(_degree_triples(make, max_total))
+    triples = list(_degree_tuples(make, 3, max_total))
     w1 = _first_failure(
         triples,
         lambda x, y, z: (rdipt_prec(rdipt_prec(x, y), z), rdipt_prec(x, star(y, z))),
     )
     # mirror oracle: < must be the reflection conjugate of >
-    w2 = None
-    for na in range(1, max_total):
-        for nb in range(1, max_total - na + 1):
-            for a in dipt_basis_of_degree(na):
-                for b in dipt_basis_of_degree(nb):
-                    lhs = rdipt_prec(LinComb.basis(a), LinComb.basis(b))
-                    rhs = reflect(
-                        succ(reflect(LinComb.basis(b)), reflect(LinComb.basis(a)))
-                    )
-                    if lhs != rhs:
-                        w2 = f"{a} ; {b}"
-                        break
+    w2 = _first_failure(
+        _degree_tuples(dipt_basis_of_degree, 2, max_total),
+        lambda a, b: (
+            rdipt_prec(LinComb.basis(a), LinComb.basis(b)),
+            reflect(succ(reflect(LinComb.basis(b)), reflect(LinComb.basis(a)))),
+        ),
+    )
     return [
         Check("(x<y)<z = x<(y*z)", w1 is None, w1),
         Check("< is the reflection conjugate of >", w2 is None, w2),
@@ -139,7 +145,7 @@ def check_right_dipterous_axioms(max_total: int = 4) -> list[Check]:
 
 def check_ldipterous_axioms(max_total: int = 5) -> list[Check]:
     make = lambda n: [LinComb.basis(b) for b in ldipt_basis_of_degree(n)]
-    triples = list(_degree_triples(make, max_total))
+    triples = list(_degree_tuples(make, 3, max_total))
     w1 = _first_failure(
         triples,
         lambda x, y, z: (
@@ -170,7 +176,7 @@ def check_ldipterous_axioms(max_total: int = 5) -> list[Check]:
 
 def check_qn_axioms(max_total: int = 5) -> list[Check]:
     make = lambda n: [LinComb.basis(b) for b in qn_basis_of_degree(n)]
-    triples = list(_degree_triples(make, max_total))
+    triples = list(_degree_tuples(make, 3, max_total))
     zero = LinComb()
     checks = []
     for name, fn in [
@@ -185,37 +191,25 @@ def check_qn_axioms(max_total: int = 5) -> list[Check]:
 
 
 def check_nap_axiom(max_total: int = 6, labels=("v",)) -> list[Check]:
-    witness = None
-    for na in range(1, max_total - 1):
-        for nb in range(1, max_total - na):
-            for nc in range(1, max_total - na - nb + 1):
-                for x in enumerate_nap(na, labels):
-                    for y in enumerate_nap(nb, labels):
-                        for z in enumerate_nap(nc, labels):
-                            if nap_graft(nap_graft(x, y), z) != nap_graft(
-                                nap_graft(x, z), y
-                            ):
-                                witness = f"{x} ; {y} ; {z}"
+    witness = _first_failure(
+        _degree_tuples(lambda n: enumerate_nap(n, labels), 3, max_total),
+        lambda x, y, z: (nap_graft(nap_graft(x, y), z), nap_graft(nap_graft(x, z), y)),
+    )
     return [Check("(x<|y)<|z = (x<|z)<|y", witness is None, witness)]
 
 
-def _perm_nap_elements(max_total: int, labels=("v",)):
-    out = []
-    for n in range(1, max_total + 1):
-        for h in range(1, n + 1):
-            for head in enumerate_nap(h, labels):
-                for tail in _nap_multisets(n - h, labels):
-                    out.append(LinComb.basis(PermNapBasis(head, tail)))
-    return out
+def _perm_nap_elements(n: int, labels=("v",)) -> list[LinComb]:
+    """All degree-n pair basis elements, as LinCombs."""
+    return [
+        LinComb.basis(PermNapBasis(head, tail))
+        for h in range(1, n + 1)
+        for head in enumerate_nap(h, labels)
+        for tail in _nap_multisets(n - h, labels)
+    ]
 
 
 def check_perm_nap_axioms(max_total: int = 5) -> list[Check]:
-    elems = _perm_nap_elements(max_total - 2)
-    triples = [
-        (x, y, z)
-        for x, y, z in itertools.product(elems, repeat=3)
-        if sum(next(iter(e.terms)).degree for e in (x, y, z)) <= max_total
-    ]
+    triples = list(_degree_tuples(_perm_nap_elements, 3, max_total))
     w1 = _first_failure(
         triples,
         lambda x, y, z: (
@@ -324,7 +318,7 @@ def delta_compatibility_witness(max_total: int, samples: int, seed: int) -> str 
         nb = rng.randint(1, max_total - na)
         x = _random_element(rng, na)
         y = _random_element(rng, nb)
-        for op, elem_op in (("star", star), ("succ", succ)):
+        for op, elem_op in ((OP_STAR, star), (OP_SUCC, succ)):
             lhs = delta(elem_op(x, y))
             if lhs != semi_inf_rhs(op, x, y):
                 return f"{op}: {x!r} ; {y!r}"
@@ -333,17 +327,14 @@ def delta_compatibility_witness(max_total: int, samples: int, seed: int) -> str 
 
 def morphism_witness(cop_basis, tensor_star, tensor_succ, max_total: int) -> str | None:
     """cop(x <> y) = cop(x) <>_tensor cop(y) on all basis pairs."""
-    from .freealg import star_basis, succ_basis
+    ops = {OP_STAR: (star_basis, tensor_star), OP_SUCC: (succ_basis, tensor_succ)}
 
-    for na in range(1, max_total):
-        for nb in range(1, max_total - na + 1):
-            for a in dipt_basis_of_degree(na):
-                for b in dipt_basis_of_degree(nb):
-                    if cop_basis(star_basis(a, b)) != tensor_star(cop_basis(a), cop_basis(b)):
-                        return f"star: {a} ; {b}"
-                    if cop_basis(succ_basis(a, b)) != tensor_succ(cop_basis(a), cop_basis(b)):
-                        return f"succ: {a} ; {b}"
-    return None
+    def sides(op, a, b):
+        basis_op, tensor_op = ops[op]
+        return cop_basis(basis_op(a, b)), tensor_op(cop_basis(a), cop_basis(b))
+
+    pairs = _degree_tuples(dipt_basis_of_degree, 2, max_total)
+    return _first_failure(((op, a, b) for a, b in pairs for op in ops), sides)
 
 
 def _random_element(rng: random.Random, degree: int, num_gens: int = 1) -> LinComb:

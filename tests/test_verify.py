@@ -2,6 +2,7 @@ from fractions import Fraction
 
 from dipterous import verify
 from dipterous.linalg import LinComb
+from dipterous.trees import nap_graft
 from dipterous.verify import (
     axioms_suite,
     bialgebra_suite,
@@ -55,3 +56,20 @@ def test_nondegeneracy_check_fails_on_a_zero_coproduct(monkeypatch):
     assert not check.ok
     assert check.witness == "t=1: delta vanishes on degree 2"
     assert checks["delta coassociative (t=1)"].ok
+
+
+def test_nap_check_reports_the_first_failing_triple(monkeypatch):
+    calls = []
+
+    def reversed_graft(t, s):
+        calls.append((t, s))
+        return nap_graft(s, t)
+
+    monkeypatch.setattr(verify, "nap_graft", reversed_graft)
+    [check] = verify.check_nap_axiom(6)
+    assert not check.ok
+    # Degree order: (1, 1, 1) holds for any graft, (1, 1, 2) is the first
+    # degree tuple, and v ; v ; v[v] its only triple.
+    assert check.witness == "v ; v ; v[v]"
+    # Four grafts per triple, and nothing is evaluated after the failure.
+    assert len(calls) == 8
