@@ -31,7 +31,6 @@ from .trees import (
 )
 from .freealg import DiptBasis, decompose_basis, dim_table, eval_universal, star, succ
 from .coproducts import (
-    CoproductParams,
     bracket,
     delta,
     delta_iter,

@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .bialgebras import antipode_table, primcom_dims
-from .coproducts import CoproductParams, filtration_dim
+from .coproducts import filtration_dim
 from .dynamics import (
     GrammarError,
     distribution_json,
@@ -102,14 +102,14 @@ def cmd_dims(config: RunConfig, which: str) -> int:
 
 
 def cmd_prim(config: RunConfig, coproduct: str) -> int:
-    params = CoproductParams(config.t_param)
+    t = config.t_param
     payload: dict = {}
     lines: list[str] = []
     ok = True
     if coproduct in ("semiinf", "both"):
-        dims = [filtration_dim(1, n, params) for n in range(1, config.max_degree + 1)]
+        dims = [filtration_dim(1, n, t) for n in range(1, config.max_degree + 1)]
         # Delta_t = t * Delta_1, so at t = 0 every forest is primitive.
-        ref = (large_schroeder if params.t == 0 else little_schroeder)(config.max_degree)
+        ref = (large_schroeder if t == 0 else little_schroeder)(config.max_degree)
         match = dims == ref
         ok &= match
         lines.append(f"semiinf dims={dims} reference={ref} match={str(match).lower()}")

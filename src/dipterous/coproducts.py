@@ -55,16 +55,6 @@ from .series import composition_sum
 from .trees import LEAF, Forest, PlanarTree, corolla, enumerate_trees
 
 
-@dataclass(frozen=True)
-class CoproductParams:
-    """Deformation weight of the x (x) y summand; the main case is t = 1."""
-
-    t: Fraction = Fraction(1)
-
-
-DEFAULT = CoproductParams()
-
-
 @cache
 def delta_basis(x: DiptBasis, t: Fraction = Fraction(1)) -> LinComb:
     if x.degree == 1:
@@ -79,59 +69,59 @@ def delta_basis(x: DiptBasis, t: Fraction = Fraction(1)) -> LinComb:
     )
 
 
-def delta(x: LinComb, params: CoproductParams = DEFAULT) -> LinComb:
-    return LinComb(linear_terms(lambda key: delta_basis(key, params.t), x))
+def delta(x: LinComb, t: Fraction = Fraction(1)) -> LinComb:
+    return LinComb(linear_terms(lambda key: delta_basis(key, t), x))
 
 
-def semi_inf_rhs(op: str, x: LinComb, y: LinComb, params: CoproductParams = DEFAULT) -> LinComb:
+def semi_inf_rhs(op: str, x: LinComb, y: LinComb, t: Fraction = Fraction(1)) -> LinComb:
     """Right side of the defining relation, computed from delta(x) and delta(y).
 
     Used to check that the recursive coproduct is compatible with both
     operations on arbitrary (not just canonical) products.
     """
     acc = []
-    for (a, b), c in delta(x, params).items():
+    for (a, b), c in delta(x, t).items():
         for k, d in apply_op(op, LinComb.basis(b), y).items():
             acc.append(((a, k), c * d))
-    for (a, b), c in delta(y, params).items():
+    for (a, b), c in delta(y, t).items():
         for k, d in star(x, LinComb.basis(a)).items():
             acc.append(((k, b), c * d))
-    if params.t:
+    if t:
         for kx, cx in x.items():
             for ky, cy in y.items():
-                acc.append(((kx, ky), params.t * cx * cy))
+                acc.append(((kx, ky), t * cx * cy))
     return LinComb(acc)
 
 
-def delta_iter(x: LinComb, n: int, params: CoproductParams = DEFAULT) -> LinComb:
+def delta_iter(x: LinComb, n: int, t: Fraction = Fraction(1)) -> LinComb:
     """Left-iterated coproduct of arity n + 1."""
     if n < 1:
         raise ValueError("iteration count must be >= 1")
-    out = delta(x, params)
+    out = delta(x, t)
     for _ in range(n - 1):
-        out = map_slot(out, 0, lambda k: delta_basis(k, params.t))
+        out = map_slot(out, 0, lambda k: delta_basis(k, t))
     return out
 
 
-def _delta_iter_images(r: int, basis: list[DiptBasis], params: CoproductParams) -> Iterator[LinComb]:
+def _delta_iter_images(r: int, basis: list[DiptBasis], t: Fraction) -> Iterator[LinComb]:
     """Images of the r-fold iterated coproduct on an ordered basis."""
-    return (delta_iter(LinComb.basis(b), r, params) for b in basis)
+    return (delta_iter(LinComb.basis(b), r, t) for b in basis)
 
 
-def filtration_dim(r: int, n: int, params: CoproductParams = DEFAULT) -> int:
+def filtration_dim(r: int, n: int, t: Fraction = Fraction(1)) -> int:
     """Dimension of the r-th filtration step within degree n."""
     if r < 1 or n < 1:
         raise ValueError("filtration level and degree must be >= 1")
     basis = dipt_basis_of_degree(n)
     if r >= n:
         return len(basis)
-    return len(basis) - operator_rank(_delta_iter_images(r, basis, params))
+    return len(basis) - operator_rank(_delta_iter_images(r, basis, t))
 
 
-def prim_basis(n: int, params: CoproductParams = DEFAULT) -> list[LinComb]:
+def prim_basis(n: int, t: Fraction = Fraction(1)) -> list[LinComb]:
     """Echelon basis of the coproduct kernel on the degree-n component."""
     basis = dipt_basis_of_degree(n)
-    return kernel_of_operator(basis, _delta_iter_images(1, basis, params))
+    return kernel_of_operator(basis, _delta_iter_images(1, basis, t))
 
 
 def triangle(x: LinComb, y: LinComb) -> LinComb:
@@ -186,7 +176,7 @@ def e_idempotent(x: LinComb) -> LinComb:
 @cache
 def _e_basis(x: DiptBasis) -> LinComb:
     acc = [(x, 1)]
-    for (a, b), c in delta_basis(x, DEFAULT.t).items():
+    for (a, b), c in delta_basis(x, 1).items():
         acc.extend((star_basis(a, k), -c * d) for k, d in _e_basis(b).items())
     return LinComb(acc)
 
@@ -245,11 +235,11 @@ class PbwReport:
         return self.forest_dims == self.composed
 
 
-def pbw_dim_check(max_n: int, params: CoproductParams = DEFAULT) -> PbwReport:
+def pbw_dim_check(max_n: int, t: Fraction = Fraction(1)) -> PbwReport:
     """Forest dims must equal composition sums of computed primitive dims."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    prim = [filtration_dim(1, n, params) for n in range(1, max_n + 1)]
+    prim = [filtration_dim(1, n, t) for n in range(1, max_n + 1)]
     forests = [len(dipt_basis_of_degree(n)) for n in range(1, max_n + 1)]
     composed = [composition_sum(prim, n) for n in range(1, max_n + 1)]
     return PbwReport(tuple(forests), tuple(prim), tuple(composed))

@@ -17,17 +17,17 @@ permutative/NAP pair construction on labeled rooted trees, live here too.
 ``eval_basis`` evaluates a basis element through that splitting into any
 ``AlgebraTarget``: the unique morphism for both operations that sends each
 generator to a given image. Morphic coproducts elsewhere are this
-evaluation into a tensor square. Each target carries its own memo of
-images, so two targets never share entries.
+evaluation into a tensor square. Targets hash by identity, so two targets
+never share cached images.
 
-The splitting and the basis enumerations are computed once per argument
-tuple under ``functools.cache``; ``cache_info``/``cache_clear`` on the
-function report and free them.
+The splitting, the basis enumerations and ``eval_basis`` are computed once
+per argument tuple under ``functools.cache``; ``cache_info``/``cache_clear``
+on the function report and free them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import product
 from typing import Callable, Mapping, Sequence
@@ -94,14 +94,11 @@ class DiptBasis(Interned):
     __repr__ = __str__
 
 
-DiptElement = LinComb  # over DiptBasis keys
-
-
 def generator(i: int = 0) -> DiptBasis:
     return DiptBasis(Forest((LEAF,)), (i,))
 
 
-def gen_elem(i: int = 0) -> DiptElement:
+def gen_elem(i: int = 0) -> LinComb:
     return LinComb.basis(generator(i))
 
 
@@ -212,32 +209,29 @@ def reflect(x: LinComb) -> LinComb:
     return x.map_keys(reflect_basis)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlgebraTarget:
     """A concrete algebra to evaluate into: two operations plus generator images.
 
     The operations must be pure and the generator images fixed, because
-    ``eval_basis`` memoizes its images in the target's own ``memo``.
+    ``eval_basis`` caches its images per (basis element, target).
     """
 
     star: Callable
     succ: Callable
     generators: Mapping[int, object]
     zero: object
-    memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
+@cache
 def eval_basis(x: DiptBasis, target: AlgebraTarget):
     """Image of a basis element under the unique two-product morphism into
     ``target`` that sends each generator to its given image."""
     if x.degree == 1:
         return target.generators[x.word[0]]
-    cached = target.memo.get(x)
-    if cached is None:
-        op, left, right = decompose_basis(x)
-        fn = target.star if op == OP_STAR else target.succ
-        cached = target.memo[x] = fn(eval_basis(left, target), eval_basis(right, target))
-    return cached
+    op, left, right = decompose_basis(x)
+    fn = target.star if op == OP_STAR else target.succ
+    return fn(eval_basis(left, target), eval_basis(right, target))
 
 
 def eval_universal(x: LinComb, target: AlgebraTarget):

@@ -38,7 +38,7 @@ from .freealg import (
     succ_basis,
     word_str,
 )
-from .trees import Forest, Interned
+from .trees import Forest, Interned, _compositions
 
 SYM_STAR = "*"
 SYM_SUCC = ">"
@@ -175,20 +175,13 @@ def _chain_basis(arity: int, weight: int, num_gens: int) -> tuple[ChainKey, ...]
         return ()
     if arity == 1:
         return tuple(ChainKey(None, (b,)) for b in dipt_basis_of_degree(weight, num_gens))
-
-    def slot_tuples(rest: int, parts: int):
-        if parts == 1:
-            yield from ((b,) for b in dipt_basis_of_degree(rest, num_gens))
-            return
-        for head in range(1, rest - parts + 2):
-            for b in dipt_basis_of_degree(head, num_gens):
-                for tail in slot_tuples(rest - head, parts - 1):
-                    yield (b,) + tail
-
+    basis = cache(lambda degree: dipt_basis_of_degree(degree, num_gens))
     out = [
         ChainKey(sym, slots)
+        for degrees in _compositions(weight, arity)
+        if len(degrees) == arity
+        for slots in product(*map(basis, degrees))
         for sym in (SYM_STAR, SYM_SUCC)
-        for slots in slot_tuples(weight, arity)
     ]
     return tuple(sorted(out, key=str))
 
@@ -309,7 +302,7 @@ def koszul_report(
     for arity in range(2, max_arity + 2):
         for weight in range(arity, weight_cap + 1):
             for b in chain_basis(arity, weight):
-                if arity >= 2 and d(d(LinComb.basis(b))):
+                if d(d(LinComb.basis(b))):
                     square_zero_ok = False
                     witness = witness or f"d^2 != 0 on {b}"
                 for i in range(1, arity):

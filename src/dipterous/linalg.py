@@ -80,10 +80,6 @@ class LinComb:
     def basis(cls, key, coeff: Scalar = 1) -> "LinComb":
         return cls({key: coeff})
 
-    @classmethod
-    def zero(cls) -> "LinComb":
-        return cls()
-
     def coeff(self, key) -> Scalar:
         return self.terms.get(key, 0)
 

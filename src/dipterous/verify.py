@@ -1,9 +1,10 @@
 """Property suites shared by the command line and the test suite.
 
-Each check returns a ``Check`` with a pass flag and, on failure, the first
-counterexample found. Suites are exhaustive over basis elements within
-their stated degree caps; the caps keep every suite within seconds while
-covering every case the identities could first fail in.
+Each check returns a ``Check`` whose witness is the first counterexample
+found, as text; a check holds exactly when it has no witness. Suites are
+exhaustive over basis elements within their stated degree caps; the caps
+keep every suite within seconds while covering every case the identities
+could first fail in.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .bialgebras import (
     vartriangle_basis,
 )
 from .coproducts import (
-    CoproductParams,
     delta,
     delta_basis,
     filtration_dim,
@@ -69,16 +69,17 @@ TREE_COUNT_DEGREE_CAP = 5
 @dataclass(frozen=True)
 class Check:
     name: str
-    ok: bool
     witness: str | None = None
     detail: str | None = None
 
+    @property
+    def ok(self) -> bool:
+        return self.witness is None
 
-def _elems(degrees, num_gens=1):
-    out = []
-    for n in degrees:
-        out.extend(LinComb.basis(b) for b in dipt_basis_of_degree(n, num_gens))
-    return out
+
+def _as_elems(basis_of_degree):
+    """Per degree n, the degree-n basis of ``basis_of_degree`` as LinCombs."""
+    return lambda n: [LinComb.basis(b) for b in basis_of_degree(n)]
 
 
 def _first_failure(tuples, lhs_rhs) -> str | None:
@@ -88,6 +89,18 @@ def _first_failure(tuples, lhs_rhs) -> str | None:
         if lhs != rhs:
             return " ; ".join(str(x) for x in xs)
     return None
+
+
+def _first_basis_failure(max_degree: int, lhs_rhs) -> str | None:
+    """The first basis element up to max_degree, in degree order, on which
+    the two sides differ, as text, or None."""
+    return _first_failure(_degree_tuples(dipt_basis_of_degree, 1, max_degree), lhs_rhs)
+
+
+def _laws(tuples, laws) -> list[Check]:
+    """One check per (name, lhs_rhs) law, each over every tuple."""
+    tuples = list(tuples)
+    return [Check(name, _first_failure(tuples, lhs_rhs)) for name, lhs_rhs in laws]
 
 
 def _degree_tuples(make, arity: int, max_total: int):
@@ -108,94 +121,56 @@ def _degree_tuples(make, arity: int, max_total: int):
 
 
 def check_dipterous_axioms(max_total: int = 6) -> list[Check]:
-    make = lambda n: _elems([n])
-    triples = list(_degree_tuples(make, 3, max_total))
-    w1 = _first_failure(
-        triples, lambda x, y, z: (star(star(x, y), z), star(x, star(y, z)))
+    return _laws(
+        _degree_tuples(_as_elems(dipt_basis_of_degree), 3, max_total),
+        [
+            ("star associativity", lambda x, y, z: (star(star(x, y), z), star(x, star(y, z)))),
+            ("(x*y)>z = x>(y>z)", lambda x, y, z: (succ(star(x, y), z), succ(x, succ(y, z)))),
+        ],
     )
-    w2 = _first_failure(
-        triples, lambda x, y, z: (succ(star(x, y), z), succ(x, succ(y, z)))
-    )
-    return [
-        Check("star associativity", w1 is None, w1),
-        Check("(x*y)>z = x>(y>z)", w2 is None, w2),
-    ]
 
 
 def check_right_dipterous_axioms(max_total: int = 4) -> list[Check]:
-    make = lambda n: _elems([n])
-    triples = list(_degree_tuples(make, 3, max_total))
-    w1 = _first_failure(
-        triples,
-        lambda x, y, z: (rdipt_prec(rdipt_prec(x, y), z), rdipt_prec(x, star(y, z))),
-    )
+    make, prec = _as_elems(dipt_basis_of_degree), rdipt_prec
     # mirror oracle: < must be the reflection conjugate of >
-    w2 = _first_failure(
-        _degree_tuples(dipt_basis_of_degree, 2, max_total),
-        lambda a, b: (
-            rdipt_prec(LinComb.basis(a), LinComb.basis(b)),
-            reflect(succ(reflect(LinComb.basis(b)), reflect(LinComb.basis(a)))),
-        ),
-    )
-    return [
-        Check("(x<y)<z = x<(y*z)", w1 is None, w1),
-        Check("< is the reflection conjugate of >", w2 is None, w2),
-    ]
+    mirror = lambda x, y: (prec(x, y), reflect(succ(reflect(y), reflect(x))))
+    return _laws(
+        _degree_tuples(make, 3, max_total),
+        [("(x<y)<z = x<(y*z)", lambda x, y, z: (prec(prec(x, y), z), prec(x, star(y, z))))],
+    ) + _laws(_degree_tuples(make, 2, max_total), [("< is the reflection conjugate of >", mirror)])
 
 
 def check_ldipterous_axioms(max_total: int = 5) -> list[Check]:
-    make = lambda n: [LinComb.basis(b) for b in ldipt_basis_of_degree(n)]
-    triples = list(_degree_tuples(make, 3, max_total))
-    w1 = _first_failure(
-        triples,
-        lambda x, y, z: (
-            ldipt_nwarrow(ldipt_nwarrow(x, y), z),
-            ldipt_nwarrow(x, ldipt_nwarrow(y, z)),
-        ),
+    nw, gt = ldipt_nwarrow, ldipt_succ
+    return _laws(
+        _degree_tuples(_as_elems(ldipt_basis_of_degree), 3, max_total),
+        [
+            ("nw associativity", lambda x, y, z: (nw(nw(x, y), z), nw(x, nw(y, z)))),
+            ("(x nw y)>z = x>(y>z)", lambda x, y, z: (gt(nw(x, y), z), gt(x, gt(y, z)))),
+            ("(x>y) nw z = x>(y nw z)", lambda x, y, z: (nw(gt(x, y), z), gt(x, nw(y, z)))),
+        ],
     )
-    w2 = _first_failure(
-        triples,
-        lambda x, y, z: (
-            ldipt_succ(ldipt_nwarrow(x, y), z),
-            ldipt_succ(x, ldipt_succ(y, z)),
-        ),
-    )
-    w3 = _first_failure(
-        triples,
-        lambda x, y, z: (
-            ldipt_nwarrow(ldipt_succ(x, y), z),
-            ldipt_succ(x, ldipt_nwarrow(y, z)),
-        ),
-    )
-    return [
-        Check("nw associativity", w1 is None, w1),
-        Check("(x nw y)>z = x>(y>z)", w2 is None, w2),
-        Check("(x>y) nw z = x>(y nw z)", w3 is None, w3),
-    ]
 
 
 def check_qn_axioms(max_total: int = 5) -> list[Check]:
-    make = lambda n: [LinComb.basis(b) for b in qn_basis_of_degree(n)]
-    triples = list(_degree_tuples(make, 3, max_total))
     zero = LinComb()
-    checks = []
-    for name, fn in [
-        ("(x>y)*z = 0", lambda x, y, z: (qn_star(qn_succ(x, y), z), zero)),
-        ("x>(y*z) = 0", lambda x, y, z: (qn_succ(x, qn_star(y, z)), zero)),
-        ("x*(y>z) = 0", lambda x, y, z: (qn_star(x, qn_succ(y, z)), zero)),
-        ("(x>y)>z = 0", lambda x, y, z: (qn_succ(qn_succ(x, y), z), zero)),
-    ]:
-        w = _first_failure(triples, fn)
-        checks.append(Check(name, w is None, w))
-    return checks
+    return _laws(
+        _degree_tuples(_as_elems(qn_basis_of_degree), 3, max_total),
+        [
+            ("(x>y)*z = 0", lambda x, y, z: (qn_star(qn_succ(x, y), z), zero)),
+            ("x>(y*z) = 0", lambda x, y, z: (qn_succ(x, qn_star(y, z)), zero)),
+            ("x*(y>z) = 0", lambda x, y, z: (qn_star(x, qn_succ(y, z)), zero)),
+            ("(x>y)>z = 0", lambda x, y, z: (qn_succ(qn_succ(x, y), z), zero)),
+        ],
+    )
 
 
 def check_nap_axiom(max_total: int = 6, labels=("v",)) -> list[Check]:
-    witness = _first_failure(
+    law = lambda x, y, z: (nap_graft(nap_graft(x, y), z), nap_graft(nap_graft(x, z), y))
+    return _laws(
         _degree_tuples(lambda n: enumerate_nap(n, labels), 3, max_total),
-        lambda x, y, z: (nap_graft(nap_graft(x, y), z), nap_graft(nap_graft(x, z), y)),
+        [("(x<|y)<|z = (x<|z)<|y", law)],
     )
-    return [Check("(x<|y)<|z = (x<|z)<|y", witness is None, witness)]
 
 
 def _perm_nap_elements(n: int, labels=("v",)) -> list[LinComb]:
@@ -209,73 +184,47 @@ def _perm_nap_elements(n: int, labels=("v",)) -> list[LinComb]:
 
 
 def check_perm_nap_axioms(max_total: int = 5) -> list[Check]:
-    triples = list(_degree_tuples(_perm_nap_elements, 3, max_total))
-    w1 = _first_failure(
-        triples,
-        lambda x, y, z: (
-            perm_nap_star(perm_nap_star(x, y), z),
-            perm_nap_star(x, perm_nap_star(y, z)),
-        ),
+    st, pr = perm_nap_star, perm_nap_prec
+    return _laws(
+        _degree_tuples(_perm_nap_elements, 3, max_total),
+        [
+            ("pair star associativity", lambda x, y, z: (st(st(x, y), z), st(x, st(y, z)))),
+            ("pair star permutativity", lambda x, y, z: (st(st(x, y), z), st(st(x, z), y))),
+            ("(x<y)<z = x<(y*z) on pairs", lambda x, y, z: (pr(pr(x, y), z), pr(x, st(y, z)))),
+            ("pair < NAP identity", lambda x, y, z: (pr(pr(x, y), z), pr(pr(x, z), y))),
+        ],
     )
-    w2 = _first_failure(
-        triples,
-        lambda x, y, z: (
-            perm_nap_star(perm_nap_star(x, y), z),
-            perm_nap_star(perm_nap_star(x, z), y),
-        ),
-    )
-    w3 = _first_failure(
-        triples,
-        lambda x, y, z: (
-            perm_nap_prec(perm_nap_prec(x, y), z),
-            perm_nap_prec(x, perm_nap_star(y, z)),
-        ),
-    )
-    w4 = _first_failure(
-        triples,
-        lambda x, y, z: (
-            perm_nap_prec(perm_nap_prec(x, y), z),
-            perm_nap_prec(perm_nap_prec(x, z), y),
-        ),
-    )
-    return [
-        Check("pair star associativity", w1 is None, w1),
-        Check("pair star permutativity", w2 is None, w2),
-        Check("(x<y)<z = x<(y*z) on pairs", w3 is None, w3),
-        Check("pair < NAP identity", w4 is None, w4),
-    ]
-
-
-def _prefixed(prefix: str, checks: list[Check]) -> list[Check]:
-    return [replace(c, name=prefix + c.name) for c in checks]
 
 
 def axioms_suite(caps: dict | None = None) -> list[Check]:
     caps = caps or {}
-    out = []
-    out += _prefixed("dipterous: ", check_dipterous_axioms(caps.get("dipt", 6)))
-    out += _prefixed("right-dipterous: ", check_right_dipterous_axioms(caps.get("rdipt", 4)))
-    out += _prefixed("L-dipterous: ", check_ldipterous_axioms(caps.get("ldipt", 5)))
-    out += _prefixed("QN: ", check_qn_axioms(caps.get("qn", 5)))
-    out += _prefixed("NAP: ", check_nap_axiom(caps.get("nap", 6)))
-    out += _prefixed("Perm(NAP): ", check_perm_nap_axioms(caps.get("permnap", 5)))
-    return out
+    return [
+        replace(c, name=prefix + c.name)
+        for prefix, key, check, cap in (
+            ("dipterous: ", "dipt", check_dipterous_axioms, 6),
+            ("right-dipterous: ", "rdipt", check_right_dipterous_axioms, 4),
+            ("L-dipterous: ", "ldipt", check_ldipterous_axioms, 5),
+            ("QN: ", "qn", check_qn_axioms, 5),
+            ("NAP: ", "nap", check_nap_axiom, 6),
+            ("Perm(NAP): ", "permnap", check_perm_nap_axioms, 5),
+        )
+        for c in check(caps.get(key, cap))
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Coassociativity and compatibility.
 
 
+def _coassoc_sides(te: LinComb, cop_basis) -> tuple[LinComb, LinComb]:
+    """(cop (x) id)(te) and (id (x) cop)(te)."""
+    return map_slot(te, 0, cop_basis), map_slot(te, 1, cop_basis)
+
+
 def delta_coassoc_witness(max_degree: int, t: Fraction) -> str | None:
-    params = CoproductParams(t)
-    for n in range(1, max_degree + 1):
-        for b in dipt_basis_of_degree(n):
-            te = delta(LinComb.basis(b), params)
-            left = map_slot(te, 0, lambda k: delta_basis(k, t))
-            right = map_slot(te, 1, lambda k: delta_basis(k, t))
-            if left != right:
-                return f"t={t}: {b}"
-    return None
+    cop = lambda k: delta_basis(k, t)
+    w = _first_basis_failure(max_degree, lambda b: _coassoc_sides(delta(LinComb.basis(b), t), cop))
+    return w and f"t={t}: {w}"
 
 
 def delta_nondegenerate_witness(ts) -> str | None:
@@ -288,26 +237,16 @@ def delta_nondegenerate_witness(ts) -> str | None:
 
 
 def unital_coassoc_witness(cop_basis, max_degree: int) -> str | None:
-    def expand(k):
-        if k == UNIT:
-            return LinComb.basis((UNIT, UNIT))
-        return cop_basis(k)
-
-    for n in range(1, max_degree + 1):
-        for b in dipt_basis_of_degree(n):
-            te = cop_basis(b)
-            if map_slot(te, 0, expand) != map_slot(te, 1, expand):
-                return str(b)
-    return None
+    expand = lambda k: LinComb.basis((UNIT, UNIT)) if k == UNIT else cop_basis(k)
+    return _first_basis_failure(max_degree, lambda b: _coassoc_sides(cop_basis(b), expand))
 
 
 def cocommutative_witness(max_degree: int) -> str | None:
-    for n in range(1, max_degree + 1):
-        for b in dipt_basis_of_degree(n):
-            te = hopf_delta_basis(b)
-            if tau(te) != te:
-                return str(b)
-    return None
+    def sides(b):
+        te = hopf_delta_basis(b)
+        return tau(te), te
+
+    return _first_basis_failure(max_degree, sides)
 
 
 def delta_compatibility_witness(max_total: int, samples: int, seed: int) -> str | None:
@@ -345,24 +284,35 @@ def _random_element(rng: random.Random, degree: int, num_gens: int = 1) -> LinCo
 
 
 def coassoc_suite(max_degree: int = 4, seed: int = 0) -> list[Check]:
-    checks = []
-    for t in (Fraction(0), Fraction(1), Fraction(2)):
-        w = delta_coassoc_witness(max_degree, t)
-        checks.append(Check(f"delta coassociative (t={t})", w is None, w))
-    w = delta_nondegenerate_witness((Fraction(1), Fraction(2)))
-    checks.append(Check("delta nonzero on degree 2 (t=1, t=2)", w is None, w))
-    for name, cop in (("semi-Hopf", blacktriangle_basis), ("semi-infinitesimal", vartriangle_basis), ("cocommutative", hopf_delta_basis)):
-        w = unital_coassoc_witness(cop, max_degree)
-        checks.append(Check(f"{name} coproduct coassociative", w is None, w))
-    w = cocommutative_witness(max_degree)
-    checks.append(Check("cocommutative coproduct flip-invariant", w is None, w))
-    w = delta_compatibility_witness(5, 40, seed)
-    checks.append(Check("delta compatible with both products", w is None, w))
-    w = morphism_witness(blacktriangle_basis, semi_tensor_star, semi_tensor_succ, 4)
-    checks.append(Check("semi-Hopf coproduct is a product morphism", w is None, w))
-    w = morphism_witness(hopf_delta_basis, classical_tensor_star, classical_tensor_succ, 4)
-    checks.append(Check("cocommutative coproduct is a product morphism", w is None, w))
-    return checks
+    unital = (
+        ("semi-Hopf", blacktriangle_basis),
+        ("semi-infinitesimal", vartriangle_basis),
+        ("cocommutative", hopf_delta_basis),
+    )
+    return [
+        *(
+            Check(f"delta coassociative (t={t})", delta_coassoc_witness(max_degree, t))
+            for t in (Fraction(0), Fraction(1), Fraction(2))
+        ),
+        Check(
+            "delta nonzero on degree 2 (t=1, t=2)",
+            delta_nondegenerate_witness((Fraction(1), Fraction(2))),
+        ),
+        *(
+            Check(f"{name} coproduct coassociative", unital_coassoc_witness(cop, max_degree))
+            for name, cop in unital
+        ),
+        Check("cocommutative coproduct flip-invariant", cocommutative_witness(max_degree)),
+        Check("delta compatible with both products", delta_compatibility_witness(5, 40, seed)),
+        Check(
+            "semi-Hopf coproduct is a product morphism",
+            morphism_witness(blacktriangle_basis, semi_tensor_star, semi_tensor_succ, 4),
+        ),
+        Check(
+            "cocommutative coproduct is a product morphism",
+            morphism_witness(hopf_delta_basis, classical_tensor_star, classical_tensor_succ, 4),
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +338,9 @@ def unit_law_witness(max_degree: int = 4) -> str | None:
 
 
 def reduction_agreement_witness(max_degree: int = 5) -> str | None:
-    for n in range(1, max_degree + 1):
-        for b in dipt_basis_of_degree(n):
-            lhs = reduced(vartriangle, LinComb.basis(b))
-            if lhs != delta(LinComb.basis(b)):
-                return str(b)
-    return None
+    return _first_basis_failure(
+        max_degree, lambda b: (reduced(vartriangle, LinComb.basis(b)), delta(LinComb.basis(b)))
+    )
 
 
 def antipode_witness(max_degree: int = 4) -> str | None:
@@ -401,19 +348,22 @@ def antipode_witness(max_degree: int = 4) -> str | None:
     for which in ("S", "Sprime"):
         if not antipode_identity_holds(one, which):
             return f"{which} on the unit"
-        for n in range(1, max_degree + 1):
-            for b in dipt_basis_of_degree(n):
-                if not antipode_identity_holds(LinComb.basis(b), which):
-                    return f"{which}: {b}"
+        w = _first_basis_failure(
+            max_degree, lambda b: (antipode_identity_holds(LinComb.basis(b), which), True)
+        )
+        if w:
+            return f"{which}: {w}"
     return None
 
 
 def bialgebra_suite(max_degree: int = 4) -> list[Check]:
-    checks = []
-    w = unit_law_witness(max_degree)
-    checks.append(Check("unit laws", w is None, w))
-    w = reduction_agreement_witness(max_degree)
-    checks.append(Check("reduced semi-infinitesimal coproduct = delta", w is None, w))
+    checks = [
+        Check("unit laws", unit_law_witness(max_degree)),
+        Check(
+            "reduced semi-infinitesimal coproduct = delta",
+            reduction_agreement_witness(max_degree),
+        ),
+    ]
     dims = []
     joint_witness = None
     for n in range(1, max_degree + 1):
@@ -422,36 +372,27 @@ def bialgebra_suite(max_degree: int = 4) -> list[Check]:
         expected = 1 if n == 1 else 0
         if dim != expected and joint_witness is None:
             joint_witness = f"degree {n}: dim {dim} != {expected}; kernel element {vecs[0]!r}"
-    checks.append(
+    return checks + [
         Check(
             "joint primitives reduce to the generators",
-            joint_witness is None,
             joint_witness,
             detail=f"computed dims {tuple(dims)}",
-        )
-    )
-    w = antipode_witness(max_degree)
-    checks.append(Check("antipode identities two-sided", w is None, w))
-    return checks
+        ),
+        Check("antipode identities two-sided", antipode_witness(max_degree)),
+    ]
 
 
 def pbw_suite(max_n: int = 6) -> list[Check]:
     prim_dims = [filtration_dim(1, n) for n in range(1, min(max_n, TREE_COUNT_DEGREE_CAP) + 1)]
     expected = little_schroeder(len(prim_dims))
-    ok = prim_dims == expected
-    checks = [
+    report = pbw_dim_check(max_n)
+    return [
         Check(
             "primitive dims are the tree counts",
-            ok,
-            None if ok else f"computed {prim_dims}, expected {expected}",
-        )
-    ]
-    report = pbw_dim_check(max_n)
-    checks.append(
+            None if prim_dims == expected else f"computed {prim_dims}, expected {expected}",
+        ),
         Check(
             "forest dims = composition sums of primitive dims",
-            report.ok,
             None if report.ok else f"{report.forest_dims} vs {report.composed}",
-        )
-    )
-    return checks
+        ),
+    ]

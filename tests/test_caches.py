@@ -13,6 +13,7 @@ CACHES = (
     trees.enumerate_nap,
     freealg.decompose_basis,
     freealg._dipt_basis,
+    freealg.eval_basis,
     coproducts.delta_basis,
     coproducts._e_basis,
     bialgebras.vartriangle_basis,
@@ -26,7 +27,6 @@ MAX_DEGREE = 5
 def clear_caches() -> None:
     for fn in CACHES:
         fn.cache_clear()
-    bialgebras.SEMI_SQUARE.memo.clear()
 
 
 def basis_up_to(n: int) -> list:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from dipterous.linalg import LinComb
 from dipterous.coproducts import (
-    CoproductParams,
     asc_deconcat,
     bracket,
     corolla_iso_check,
@@ -91,7 +90,7 @@ def test_delta_compatible_exhaustive_low_degree():
 
 def test_delta_parameter_scales_top_term():
     tree = LinComb.basis(be("[(| |)]", "ab"))
-    te = delta(tree, CoproductParams(Fraction(2)))
+    te = delta(tree, Fraction(2))
     assert te.coeff((be("[|]", "a"), be("[|]", "b"))) == 2
 
 
@@ -115,15 +114,14 @@ def test_prim_dims_match_tree_counts():
 
 @pytest.mark.parametrize("t", [Fraction(1), Fraction(1, 2)])
 def test_filtration_dim_counts_prim_basis(t):
-    params = CoproductParams(t)
     for n in range(1, 7):
-        assert filtration_dim(1, n, params) == len(prim_basis(n, params))
+        assert filtration_dim(1, n, t) == len(prim_basis(n, t))
 
 
 def test_half_t_primitives_equal_t_one():
     # Delta_{1/2} = Delta_1 / 2 has the same kernel, and after row content
     # division the same unit pivots.
-    half, one = CoproductParams(Fraction(1, 2)), CoproductParams(Fraction(1))
+    half, one = Fraction(1, 2), Fraction(1)
     for n in range(1, 7):
         assert filtration_dim(1, n, half) == filtration_dim(1, n, one)
         assert prim_basis(n, half) == prim_basis(n, one)

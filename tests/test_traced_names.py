@@ -1,0 +1,61 @@
+"""The benchmark tracer (``perfbench/spans.py``) wraps functions by name.
+
+A renamed traced function would drop out of the trace silently, its time
+moving to ``unattributed_s``, so every name it wraps must still resolve.
+The tracer is only read here, never installed: installing it rebinds module
+attributes for the rest of the session.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from dipterous import verify
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_is_a_callable():
+    spans = load_spans()
+    pairs = [pair for pairs in spans.LAYER_TARGETS.values() for pair in pairs]
+    assert pairs
+    unresolved = [
+        f"{module}.{name}"
+        for module, name in pairs
+        if not callable(getattr(importlib.import_module(f"dipterous.{module}"), name, None))
+    ]
+    assert unresolved == []
+
+
+def test_verify_defines_the_traced_checks():
+    # The verify layer is every *_witness and *_suite function that
+    # verify itself defines.
+    checks = {
+        name
+        for name, obj in vars(verify).items()
+        if callable(obj)
+        and getattr(obj, "__module__", None) == verify.__name__
+        and name.endswith(("_witness", "_suite"))
+    }
+    assert checks == {
+        "antipode_witness",
+        "axioms_suite",
+        "bialgebra_suite",
+        "coassoc_suite",
+        "cocommutative_witness",
+        "delta_coassoc_witness",
+        "delta_compatibility_witness",
+        "delta_nondegenerate_witness",
+        "morphism_witness",
+        "pbw_suite",
+        "reduction_agreement_witness",
+        "unit_law_witness",
+        "unital_coassoc_witness",
+    }

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
-from dipterous import verify
+from dipterous import bialgebras, coproducts, verify
+from dipterous.bialgebras import blacktriangle_basis, vartriangle_basis
 from dipterous.linalg import LinComb
 from dipterous.trees import nap_graft
 from dipterous.verify import (
@@ -73,3 +74,38 @@ def test_nap_check_reports_the_first_failing_triple(monkeypatch):
     assert check.witness == "v ; v ; v[v]"
     # Four grafts per triple, and nothing is evaluated after the failure.
     assert len(calls) == 8
+
+
+def test_coassociativity_witness_names_t_and_the_first_failing_element(monkeypatch):
+    delta_basis = coproducts.delta_basis
+    flipped = lambda key, t: delta_basis(key, t).map_keys(lambda pair: pair[::-1])
+    monkeypatch.setattr(verify, "delta_basis", flipped)
+    assert verify.delta_coassoc_witness(4, Fraction(1)) == "t=1: [((| (| |)) |)] @ aaaa"
+    # Delta_0 vanishes, so nothing can fail at t = 0.
+    assert verify.delta_coassoc_witness(4, Fraction(0)) is None
+
+
+def test_unital_coassociativity_witness_is_the_first_failing_element():
+    def switched(key):
+        return blacktriangle_basis(key) if key.degree < 3 else vartriangle_basis(key)
+
+    assert verify.unital_coassoc_witness(switched, 4) == "[(| | |)] @ aaa"
+
+
+def test_flip_invariance_witness_is_the_first_failing_element(monkeypatch):
+    monkeypatch.setattr(verify, "hopf_delta_basis", blacktriangle_basis)
+    assert verify.cocommutative_witness(4) == "[(| (| |))] @ aaa"
+    checks = {c.name: c for c in coassoc_suite(3, seed=0)}
+    check = checks["cocommutative coproduct flip-invariant"]
+    assert (check.ok, check.witness) == (False, "[(| (| |))] @ aaa")
+
+
+def test_antipode_witness_names_the_antipode_that_fails(monkeypatch):
+    S, Sprime = bialgebras.antipode_S, bialgebras.antipode_Sprime
+    monkeypatch.setattr(bialgebras, "antipode_Sprime", S)
+    assert verify.antipode_witness(4) == "Sprime: [| |] @ aa"
+    monkeypatch.setattr(bialgebras, "antipode_Sprime", Sprime)
+    monkeypatch.setattr(bialgebras, "antipode_S", Sprime)
+    assert verify.antipode_witness(4) == "S: [| |] @ aa"
+    monkeypatch.setattr(bialgebras, "antipode_S", lambda x: 2 * S(x))
+    assert verify.antipode_witness(4) == "S on the unit"
