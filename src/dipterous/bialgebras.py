@@ -40,7 +40,7 @@ from .linalg import (
     Scalar,
     bilinear,
     kernel_of_operator,
-    linear_terms,
+    linear,
     map_slot,
     operator_rank,
 )
@@ -160,11 +160,7 @@ def hopf_delta_basis(x: DiptBasis) -> LinComb:
 
 def _lift(cop_basis):
     """Linear extension of a coproduct on basis keys, with 1 |-> 1 (x) 1."""
-
-    def apply(x: LinComb) -> LinComb:
-        return LinComb(linear_terms(lambda k: _pair(UNIT, UNIT) if k == UNIT else cop_basis(k), x))
-
-    return apply
+    return linear(lambda k: _pair(UNIT, UNIT) if k == UNIT else cop_basis(k))
 
 
 blacktriangle = _lift(blacktriangle_basis)
@@ -233,7 +229,7 @@ def _antipode(x: LinComb, cop_basis) -> LinComb:
     def image(key) -> LinComb:
         return LinComb.basis(UNIT) if key == UNIT else _antipode_basis(key, cop_basis)
 
-    return LinComb(linear_terms(image, x))
+    return linear(image)(x)
 
 
 def antipode_S(x: LinComb) -> LinComb:

@@ -35,7 +35,7 @@ from typing import Iterator, Sequence
 from .linalg import (
     LinComb,
     kernel_of_operator,
-    linear_terms,
+    linear,
     map_slot,
     operator_rank,
     tensor_product,
@@ -70,7 +70,7 @@ def delta_basis(x: DiptBasis, t: Fraction = Fraction(1)) -> LinComb:
 
 
 def delta(x: LinComb, t: Fraction = Fraction(1)) -> LinComb:
-    return LinComb(linear_terms(lambda key: delta_basis(key, t), x))
+    return linear(lambda key: delta_basis(key, t))(x)
 
 
 def semi_inf_rhs(op: str, x: LinComb, y: LinComb, t: Fraction = Fraction(1)) -> LinComb:
@@ -170,7 +170,7 @@ def corolla_iso_check(n: int) -> bool:
 
 def e_idempotent(x: LinComb) -> LinComb:
     """Projection onto primitives: e(x) = x - x1 * e(x2), recursively."""
-    return LinComb(linear_terms(_e_basis, x))
+    return linear(_e_basis)(x)
 
 
 @cache
@@ -221,7 +221,7 @@ def phi_tensor(te: LinComb) -> LinComb:
         a, b = key
         return tensor_product(phi_corestrict(LinComb.basis(a)), phi_corestrict(LinComb.basis(b)))
 
-    return LinComb(linear_terms(phi_pair, te))
+    return linear(phi_pair)(te)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .linalg import LinComb, as_scalar, bilinear, linear_terms
+from .linalg import LinComb, as_scalar, bilinear, linear
 
 Word = tuple[str, ...]
 WordElement = LinComb  # over Word keys
@@ -122,7 +122,7 @@ def as_endo(zeta: Endo | Mapping[Word, WordElement]) -> Endo:
 
 
 def apply_endo(zeta: Endo, x: WordElement) -> WordElement:
-    return LinComb(linear_terms(zeta, x))
+    return linear(zeta)(x)
 
 
 def baxter_check(zeta: Endo | Mapping, samples: Sequence[Word]) -> tuple[Word, Word] | None:

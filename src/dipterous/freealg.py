@@ -74,9 +74,14 @@ def word_str(word: Sequence[int]) -> str:
 
 
 class DiptBasis(Interned):
-    """Basis element: a forest tagged with one generator index per leaf."""
+    """Basis element: a forest tagged with one generator index per leaf.
 
-    __slots__ = ("forest", "word", "degree")
+    Its text ``forest @ word`` is computed once, when the key is interned,
+    and stored in ``text``: reports and sorts print these keys far more
+    often than they build them.
+    """
+
+    __slots__ = ("forest", "word", "degree", "text")
     _fields = ("forest", "word")
 
     def __new__(cls, forest: Forest, word: tuple[int, ...]):
@@ -86,10 +91,10 @@ class DiptBasis(Interned):
     def _derive(forest, word) -> tuple:
         if len(word) != forest.degree:
             raise ValueError("word length must equal the forest leaf count")
-        return (forest.degree,)
+        return (forest.degree, f"{forest} @ {word_str(word)}")
 
     def __str__(self) -> str:
-        return f"{self.forest} @ {word_str(self.word)}"
+        return self.text
 
     __repr__ = __str__
 

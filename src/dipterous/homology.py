@@ -29,7 +29,7 @@ from functools import cache
 from itertools import product
 from typing import Callable, Iterable
 
-from .linalg import LinComb, bilinear, linear_terms, operator_rank
+from .linalg import LinComb, bilinear, linear, operator_rank
 from .freealg import (
     DiptBasis,
     decompose_basis,
@@ -237,8 +237,7 @@ def homotopy_basis(key: ChainKey) -> LinComb:
     return LinComb()
 
 
-def homotopy(c: LinComb) -> LinComb:
-    return LinComb(linear_terms(homotopy_basis, c))
+homotopy = linear(homotopy_basis)
 
 
 def _differential_rank(d: Callable[[LinComb], LinComb], arity: int, weight: int) -> int:

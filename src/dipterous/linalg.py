@@ -17,7 +17,9 @@ tuples of basis keys (the arity of a term is the length of its key), and
 an element of a unit extension is a LinComb with a key for the unit.
 
 All values are immutable after construction and all functions are pure,
-so concurrent use needs no locking.
+so concurrent use needs no locking. In particular a LinComb is never
+mutated once built, which is what lets ``linear`` return a cached image
+itself instead of a copy.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Scalar = Fraction | int
@@ -98,9 +101,6 @@ class LinComb:
     def items(self):
         return self.terms.items()
 
-    def support(self) -> list:
-        return sorted(self.terms, key=canon)
-
     def __add__(self, other: "LinComb") -> "LinComb":
         out = dict(self.terms)
         for k, c in other.terms.items():
@@ -138,28 +138,34 @@ class LinComb:
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
-        bits = []
-        for k in self.support():
-            c = self.terms[k]
-            sign = "-" if c < 0 else "+"
+        # Terms sort by canon text alone, so equal texts keep insertion order.
+        out = []
+        for text, k, c in sorted(((canon(k), k, c) for k, c in self.terms.items()), key=itemgetter(0)):
+            if isinstance(k, tuple):
+                text = str(k)
             mag = -c if c < 0 else c
-            body = f"{k}" if mag == 1 else f"{mag} {k}"
-            bits.append((sign, body))
-        first_sign, first_body = bits[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in bits[1:]:
-            out += f" {sign} {body}"
-        return out
+            out += ("-" if c < 0 else "+", text if mag == 1 else f"{mag} {text}")
+        return ("-" if out[0] == "-" else "") + " ".join(out[1:])
 
 
-def linear_terms(fn: Callable, x) -> Iterator[tuple]:
-    """Terms of the linear extension of ``fn`` applied to ``x``.
+def linear(fn: Callable) -> Callable[[LinComb], LinComb]:
+    """Linear extension of a map given on basis keys.
 
-    ``fn`` sends a basis key to a LinComb; the stream of ``(key, coeff)``
-    pairs of sum c * fn(k) over the terms c k of ``x`` is meant to be
-    accumulated in one LinComb construction.
+    ``fn`` sends a basis key to a LinComb; the extension sends x to the sum
+    of c * fn(k) over the terms c k of x. On a single key with coefficient
+    1 it returns ``fn``'s image object itself, so a cached image is shared,
+    not copied.
     """
-    return ((k, c * d) for key, c in x.items() for k, d in fn(key).items())
+
+    def apply(x: LinComb) -> LinComb:
+        terms = x.terms
+        if len(terms) == 1:
+            ((key, c),) = terms.items()
+            if c == 1:
+                return fn(key)
+        return LinComb((k, c * d) for key, c in terms.items() for k, d in fn(key).items())
+
+    return apply
 
 
 def bilinear(op: Callable) -> Callable[..., LinComb]:

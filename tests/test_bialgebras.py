@@ -213,6 +213,15 @@ def test_antipode_table_shape():
     assert set(table["[| |] @ aa"]) == {"S", "Sprime"}
 
 
+def test_antipode_table_text_is_pinned():
+    table = antipode_table(3)
+    assert table["[(| |) |] @ aaa"] == {"S": "0 + [| (| |)] @ aaa - [| | |] @ aaa", "Sprime": "0 + 0"}
+    assert table["[(| (| |))] @ aaa"] == {
+        "S": "0 + -[(| (| |))] @ aaa + 2 [| (| |)] @ aaa - [| | |] @ aaa",
+        "Sprime": "0 + -[(| (| |))] @ aaa + [| | |] @ aaa",
+    }
+
+
 def test_com_symmetrize_examples():
     assert com_symmetrize((0,)) == GEN
     s = com_symmetrize((0, 1))

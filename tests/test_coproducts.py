@@ -142,6 +142,13 @@ def test_tensor_repr_prints_basis_text():
     assert repr(te).count(" @ ") == 2 * len(te)
 
 
+def test_tensor_repr_text_is_pinned():
+    # Tuple keys sort by their canon text but print as tuples.
+    te = delta(LinComb.basis(dipt_basis_of_degree(3)[0]))
+    assert repr(te) == "([(| |)] @ aa, [|] @ a) + ([|] @ a, [(| |)] @ aa)"
+    assert repr(Fraction(-3, 2) * te) == "-3/2 ([(| |)] @ aa, [|] @ a) - 3/2 ([|] @ a, [(| |)] @ aa)"
+
+
 def test_prim_basis_degree_two_span():
     (vec,) = prim_basis(2)
     tree = be("[(| |)]", "aa")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dipterous.freealg import DiptBasis, basis_from_str, dipt_basis_of_degree, star_basis
+from dipterous.freealg import DiptBasis, basis_from_str, dipt_basis_of_degree, star_basis, word_str
 from dipterous.homology import ChainKey, QNBasis, SYM_STAR, chain_basis
 from dipterous.trees import LEAF, Forest, PlanarTree, enumerate_forests, parse_forest, parse_tree
 
@@ -57,6 +57,7 @@ def test_degree_is_stored():
         (DiptBasis(Forest((LEAF,)), (0,)), "degree"),
         (ChainKey(None, (DiptBasis(Forest((LEAF,)), (0,)),)), "symbol"),
         (QNBasis((0,)), "tag"),
+        (DiptBasis(Forest((LEAF,)), (0,)), "text"),
     ],
 )
 def test_setting_an_attribute_raises(key, name):
@@ -66,6 +67,19 @@ def test_setting_an_attribute_raises(key, name):
         delattr(key, name)
     with pytest.raises(AttributeError):
         key.extra = 1
+
+
+def test_dipt_basis_text_is_stored():
+    b = basis_from_str("[(| (| |)) |] @ abca")
+    assert str(b) is str(b)
+    assert repr(b) == str(b)
+    # Stored, not a field: copies and pickles still return the interned key.
+    assert "text" not in DiptBasis._fields
+    assert copy.copy(b) is b
+    assert pickle.loads(pickle.dumps(b)) is b
+    for n in range(1, 6):
+        for b in dipt_basis_of_degree(n, 2):
+            assert str(b) == f"{b.forest} @ {word_str(b.word)}"
 
 
 def test_bad_shapes_raise_the_same_errors():

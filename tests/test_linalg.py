@@ -1,22 +1,34 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dipterous.bialgebras import (
+    _antipode_basis,
+    antipode_S,
+    antipode_Sprime,
+    antipode_table,
+    blacktriangle_basis,
+    vartriangle_basis,
+)
+from dipterous.freealg import dipt_basis_of_degree
 from dipterous.linalg import (
     LinComb,
     SparseMatrix,
     _echelon,
+    canon,
     intersect_kernels,
     kernel_basis,
     kernel_of_operator,
+    linear,
     map_slot,
     matrix_of_images,
     operator_rank,
     rank,
     tensor_product,
 )
+from dipterous.verify import antipode_witness
 
 fractions = st.fractions(min_value=-30, max_value=30, max_denominator=9)
 lincombs = st.dictionaries(st.sampled_from("pqrst"), fractions, max_size=5).map(LinComb)
@@ -282,3 +294,65 @@ def test_content_division_gives_unit_pivots():
     rows, pivots = _echelon(SparseMatrix.from_rows([[2, 4], [3, 3]]).row_dicts(), 2)
     assert pivots == [0, 1]
     assert all(type(c) is int for row in rows for c in row.values())
+
+
+images_of_pqrst = st.fixed_dictionaries(
+    {k: st.dictionaries(st.sampled_from("uvw"), mixed_scalars, max_size=3).map(LinComb) for k in "pqrst"}
+)
+
+
+@given(st.dictionaries(st.sampled_from("pqrst"), mixed_scalars, min_size=2, max_size=5).map(LinComb), images_of_pqrst)
+@example(LinComb({"p": 1, "q": 1}), {**{k: LinComb() for k in "rst"}, "p": LinComb({"u": 1, "v": 1}), "q": LinComb({"u": 1, "v": -1})})
+def test_linear_is_the_termwise_sum(x, table):
+    expected = LinComb()
+    for k, c in x.items():
+        expected = expected + c * table[k]
+    assert linear(table.__getitem__)(x) == expected
+
+
+def test_linear_shares_the_image_of_a_unit_basis_vector():
+    image = LinComb({"u": 2, "v": Fraction(-1, 3)})
+    apply = linear(lambda key: image)
+    assert apply(LinComb.basis("p")) is image
+    doubled = apply(2 * LinComb.basis("p"))
+    assert doubled is not image
+    assert doubled == 2 * image
+    assert image.terms == {"u": 2, "v": Fraction(-1, 3)}
+
+
+def test_cached_antipode_images_are_never_mutated():
+    keys = [b for n in range(1, 5) for b in dipt_basis_of_degree(n)]
+    cached = {(b, cop): _antipode_basis(b, cop) for b in keys for cop in (blacktriangle_basis, vartriangle_basis)}
+    snapshot = {key: dict(img.terms) for key, img in cached.items()}
+    antipode_table(4)
+    assert antipode_witness(4) is None
+    for b in keys:
+        x = LinComb.basis(b)
+        assert antipode_S(x) is cached[(b, blacktriangle_basis)]
+        assert antipode_Sprime(x) is cached[(b, vartriangle_basis)]
+        assert 2 * antipode_S(x) == 2 * cached[(b, blacktriangle_basis)]
+    assert {key: dict(img.terms) for key, img in cached.items()} == snapshot
+
+
+def _listed_repr(x: LinComb) -> str:
+    """The term-by-term report text: support sorted by canon, each key printed by str."""
+    if not x.terms:
+        return "0"
+    bits = []
+    for k in sorted(x.terms, key=canon):
+        c = x.terms[k]
+        mag = -c if c < 0 else c
+        bits.append(("-" if c < 0 else "+", f"{k}" if mag == 1 else f"{mag} {k}"))
+    out = ("-" if bits[0][0] == "-" else "") + bits[0][1]
+    for sign, body in bits[1:]:
+        out += f" {sign} {body}"
+    return out
+
+
+# "(a)" and ("a",), "(b ; a)" and ("b", "a") tie under canon; ties keep insertion order.
+repr_keys = st.sampled_from(["a", "b", "(a)", ("a",), ("b", "a"), "(b ; a)", 3, (3, "a")])
+
+
+@given(st.lists(st.tuples(repr_keys, mixed_scalars), max_size=8).map(LinComb))
+def test_repr_matches_the_term_by_term_text(x):
+    assert repr(x) == _listed_repr(x)
