@@ -21,8 +21,6 @@ from .trees import (
     NapTree,
     PlanarTree,
     corolla,
-    decompose,
-    encode,
     enumerate_binary,
     enumerate_forests,
     enumerate_trees,

@@ -113,7 +113,6 @@ def classical_pair_succ(p, q):
 
 semi_tensor_star = bilinear(semi_pair_star)
 semi_tensor_succ = bilinear(semi_pair_succ)
-classical_tensor_star = semi_tensor_star
 classical_tensor_succ = bilinear(classical_pair_succ)
 
 
@@ -131,7 +130,7 @@ def _square(tensor_star, tensor_succ) -> AlgebraTarget:
 
 
 SEMI_SQUARE = _square(semi_tensor_star, semi_tensor_succ)
-CLASSICAL_SQUARE = _square(classical_tensor_star, classical_tensor_succ)
+CLASSICAL_SQUARE = _square(semi_tensor_star, classical_tensor_succ)
 
 
 def blacktriangle_basis(x: DiptBasis) -> LinComb:

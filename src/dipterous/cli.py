@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,7 +25,7 @@ from .dynamics import (
     word_elem,
 )
 from .freealg import dim_table
-from .homology import koszul_report, qn_dim_table
+from .homology import HOMOTOPY_WEIGHT_CAP, koszul_report, qn_dim_table
 from .series import large_schroeder, little_schroeder, qndipt_dims
 from .verify import (
     SUITE_DEGREE_CAP,
@@ -39,22 +38,9 @@ from .verify import (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    max_degree: int = 5
-    t_param: Fraction = Fraction(1)
-    seed: int = 0
-    output: str = "text"
-    weight_cap: int = 5
-
-    def __post_init__(self):
-        if self.max_degree < 1 or self.weight_cap < 1:
-            raise ValueError("max_degree and weight_cap must be >= 1")
-
-
-def _emit(config: RunConfig, payload: dict, text_lines: list[str]) -> None:
+def _emit(as_json: bool, payload: dict, text_lines: list[str]) -> None:
     try:
-        if config.output == "json":
+        if as_json:
             print(json.dumps(payload, indent=2, sort_keys=True))
         else:
             for line in text_lines:
@@ -68,28 +54,20 @@ def _emit(config: RunConfig, payload: dict, text_lines: list[str]) -> None:
         os.close(devnull)
 
 
-def _clamp(requested: int, cap: int, what: str) -> int:
+def _clamp(requested: int, cap: int, what: str, unit: str = "degree", flag: str = "--max-degree") -> int:
     """min(requested, cap), with one stderr line when the cap applies."""
     if requested > cap:
-        print(f"note: {what} capped at degree {cap} (--max-degree {requested} requested)", file=sys.stderr)
+        print(f"note: {what} capped at {unit} {cap} ({flag} {requested} requested)", file=sys.stderr)
     return min(requested, cap)
 
 
-def _dims_rows(which: str, config: RunConfig) -> dict:
-    n = config.max_degree
-    tables = dim_table(n)
-    rows = {
-        "dipt": (tables["dipt"].dims, tables["dipt"].reference),
-        "mag": (tables["mag"].dims, tables["mag"].reference),
-        "ldipt": (tables["ldipt"].dims, tables["ldipt"].reference),
-        "qndipt": (tuple(qn_dim_table(n)), tuple(qndipt_dims(n))),
-    }
-    return {which: rows[which]} if which != "all" else rows
-
-
-def cmd_dims(config: RunConfig, which: str) -> int:
-    rows = _dims_rows(which, config)
-    lines = [f"degree: {' '.join(str(k) for k in range(1, config.max_degree + 1))}"]
+def cmd_dims(args: argparse.Namespace) -> int:
+    n = args.max_degree
+    rows = {name: (table.dims, table.reference) for name, table in dim_table(n).items()}
+    rows["qndipt"] = (tuple(qn_dim_table(n)), tuple(qndipt_dims(n)))
+    if args.which != "all":
+        rows = {args.which: rows[args.which]}
+    lines = [f"degree: {' '.join(str(k) for k in range(1, n + 1))}"]
     payload = {}
     all_match = True
     for name, (dims, ref) in rows.items():
@@ -97,35 +75,36 @@ def cmd_dims(config: RunConfig, which: str) -> int:
         all_match &= match
         lines.append(f"{name:7s} dims={list(dims)} reference={list(ref)} match={str(match).lower()}")
         payload[name] = {"dims": list(dims), "reference": list(ref), "match": match}
-    _emit(config, payload, lines)
+    _emit(args.json, payload, lines)
     return 0 if all_match else 1
 
 
-def cmd_prim(config: RunConfig, coproduct: str) -> int:
-    t = config.t_param
+def cmd_prim(args: argparse.Namespace) -> int:
+    t, max_degree = args.t, args.max_degree
     payload: dict = {}
     lines: list[str] = []
     ok = True
-    if coproduct in ("semiinf", "both"):
-        dims = [filtration_dim(1, n, t) for n in range(1, config.max_degree + 1)]
+    if args.coproduct in ("semiinf", "both"):
+        dims = [filtration_dim(1, n, t) for n in range(1, max_degree + 1)]
         # Delta_t = t * Delta_1, so at t = 0 every forest is primitive.
-        ref = (large_schroeder if t == 0 else little_schroeder)(config.max_degree)
+        ref = (large_schroeder if t == 0 else little_schroeder)(max_degree)
         match = dims == ref
         ok &= match
         lines.append(f"semiinf dims={dims} reference={ref} match={str(match).lower()}")
         payload["semiinf"] = {"dims": dims, "reference": ref, "match": match}
-    if coproduct in ("hopf", "both"):
-        dims, oracle = primcom_dims(config.max_degree)
+    if args.coproduct in ("hopf", "both"):
+        dims, oracle = primcom_dims(max_degree)
         match = dims == oracle
         ok &= match
         lines.append(f"hopf    dims={dims} oracle={oracle} match={str(match).lower()}")
         payload["hopf"] = {"dims": dims, "oracle": oracle, "match": match}
-    _emit(config, payload, lines)
+    _emit(args.json, payload, lines)
     return 0 if ok else 1
 
 
-def cmd_homology(config: RunConfig) -> int:
-    report = koszul_report(weight_cap=config.weight_cap)
+def cmd_homology(args: argparse.Namespace) -> int:
+    _clamp(args.weight_cap, HOMOTOPY_WEIGHT_CAP, "homotopy check", "weight", "--weight-cap")
+    report = koszul_report(args.weight_cap)
     lines = ["arity weight kernel image betti"]
     for piece in report.pieces:
         lines.append(
@@ -139,21 +118,22 @@ def cmd_homology(config: RunConfig) -> int:
     lines.append(f"koszul_ok={str(report.koszul_ok).lower()}")
     if report.witness:
         lines.append(f"witness: {report.witness}")
-    _emit(config, report.to_json(), lines)
+    _emit(args.json, report.to_json(), lines)
     return 0 if report.koszul_ok else 1
 
 
-def cmd_verify(config: RunConfig, suite: str) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
+    suite, max_degree = args.suite, args.max_degree
     checks = []
     if suite in ("axioms", "all"):
         checks += axioms_suite()
     if suite in ("coassoc", "all"):
-        checks += coassoc_suite(_clamp(config.max_degree, SUITE_DEGREE_CAP, "coassoc suite"), config.seed)
+        checks += coassoc_suite(_clamp(max_degree, SUITE_DEGREE_CAP, "coassoc suite"), args.seed)
     if suite in ("bialgebra", "all"):
-        checks += bialgebra_suite(_clamp(config.max_degree, SUITE_DEGREE_CAP, "bialgebra suite"))
+        checks += bialgebra_suite(_clamp(max_degree, SUITE_DEGREE_CAP, "bialgebra suite"))
     if suite in ("pbw", "all"):
-        _clamp(config.max_degree, TREE_COUNT_DEGREE_CAP, "pbw tree-count check")
-        checks += pbw_suite(config.max_degree)
+        _clamp(max_degree, TREE_COUNT_DEGREE_CAP, "pbw tree-count check")
+        checks += pbw_suite(max_degree)
     lines = []
     payload = {"checks": []}
     ok = True
@@ -171,16 +151,17 @@ def cmd_verify(config: RunConfig, suite: str) -> int:
         )
     payload["ok"] = ok
     lines.append(f"ok={str(ok).lower()}")
-    _emit(config, payload, lines)
+    _emit(args.json, payload, lines)
     return 0 if ok else 1
 
 
-def cmd_antipode(config: RunConfig, degree: int) -> int:
+def cmd_antipode(args: argparse.Namespace) -> int:
+    degree = args.degree
     if degree < 1:
         print(f"degree must be >= 1, got {degree}", file=sys.stderr)
         return 2
-    if degree > config.max_degree:
-        print(f"degree {degree} exceeds --max-degree {config.max_degree}", file=sys.stderr)
+    if degree > args.max_degree:
+        print(f"degree {degree} exceeds --max-degree {args.max_degree}", file=sys.stderr)
         return 2
     table = antipode_table(degree)
     witness = antipode_witness(degree)
@@ -194,21 +175,22 @@ def cmd_antipode(config: RunConfig, degree: int) -> int:
     if witness:
         payload["witness"] = witness
         lines.append(f"witness: {witness}")
-    _emit(config, payload, lines)
+    _emit(args.json, payload, lines)
     return 0 if witness is None else 1
 
 
-def cmd_dynamics(config: RunConfig, grammar_path: str, start: str, steps: int, free_weights: bool) -> int:
+def cmd_dynamics(args: argparse.Namespace) -> int:
+    start, steps = args.start, args.steps
     if steps < 0:
         print(f"steps must be >= 0, got {steps}", file=sys.stderr)
         return 2
     try:
-        text = Path(grammar_path).read_text()
+        text = Path(args.grammar).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read grammar file: {exc}", file=sys.stderr)
         return 2
     try:
-        tbl = parse_grammar(text, probability=not free_weights)
+        tbl = parse_grammar(text, probability=not args.free_weights)
         if start not in tbl.alphabet:
             raise GrammarError(f"start symbol {start!r} not in alphabet")
     except GrammarError as exc:
@@ -227,7 +209,7 @@ def cmd_dynamics(config: RunConfig, grammar_path: str, start: str, steps: int, f
         )
         if step < steps:
             state = dynamics_step(tbl, state)
-    _emit(config, payload, lines)
+    _emit(args.json, payload, lines)
     return 0
 
 
@@ -239,14 +221,22 @@ def fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
 
 
+def positive_int(text: str) -> int:
+    """argparse type for caps: anything below 1 is a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-degree", type=int, default=5, metavar="N")
+    common.add_argument("--max-degree", type=positive_int, default=5, metavar="N")
     common.add_argument("--t", type=fraction, default=Fraction(1), metavar="p/q",
                         help="deformation weight of the coproduct (default 1)")
     common.add_argument("--seed", type=int, default=0, metavar="S")
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    common.add_argument("--weight-cap", type=int, default=5, metavar="W")
+    common.add_argument("--weight-cap", type=positive_int, default=5, metavar="W")
 
     parser = argparse.ArgumentParser(
         prog="dipterous",
@@ -256,17 +246,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dims", parents=[common], help="dimension tables vs reference series")
     p.add_argument("which", choices=["dipt", "mag", "qndipt", "ldipt", "all"])
+    p.set_defaults(run=cmd_dims)
 
     p = sub.add_parser("prim", parents=[common], help="primitive-space dimensions per degree")
     p.add_argument("coproduct", choices=["semiinf", "hopf", "both"])
+    p.set_defaults(run=cmd_prim)
 
-    sub.add_parser("homology", parents=[common], help="exactness certificate and Betti table")
+    p = sub.add_parser("homology", parents=[common], help="exactness certificate and Betti table")
+    p.set_defaults(run=cmd_homology)
 
     p = sub.add_parser("verify", parents=[common], help="property suites with witnesses")
     p.add_argument("suite", choices=["axioms", "coassoc", "bialgebra", "pbw", "all"])
+    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("antipode", parents=[common], help="antipode tables at one degree")
     p.add_argument("degree", type=int)
+    p.set_defaults(run=cmd_antipode)
 
     p = sub.add_parser("dynamics", parents=[common], help="stochastic rewriting from a grammar file")
     p.add_argument("grammar")
@@ -274,36 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("steps", type=int)
     p.add_argument("--free-weights", action="store_true",
                    help="allow non-stochastic rule weights")
+    p.set_defaults(run=cmd_dynamics)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        config = RunConfig(
-            max_degree=args.max_degree,
-            t_param=args.t,
-            seed=args.seed,
-            output="json" if args.json else "text",
-            weight_cap=args.weight_cap,
-        )
-    except ValueError as exc:
-        print(f"bad configuration: {exc}", file=sys.stderr)
-        return 2
-    if args.command == "dims":
-        return cmd_dims(config, args.which)
-    if args.command == "prim":
-        return cmd_prim(config, args.coproduct)
-    if args.command == "homology":
-        return cmd_homology(config)
-    if args.command == "verify":
-        return cmd_verify(config, args.suite)
-    if args.command == "antipode":
-        return cmd_antipode(config, args.degree)
-    if args.command == "dynamics":
-        return cmd_dynamics(config, args.grammar, args.start, args.steps, args.free_weights)
-    raise AssertionError(f"unhandled command {args.command}")
+    return args.run(args)
 
 
 if __name__ == "__main__":

@@ -41,15 +41,15 @@ from .linalg import (
     tensor_product,
 )
 from .freealg import (
+    OP_STAR,
     DiptBasis,
-    apply_op,
-    apply_op_basis,
     decompose_basis,
     dipt_basis_of_degree,
     gen_elem,
     star,
     star_basis,
     succ,
+    succ_basis,
 )
 from .series import composition_sum
 from .trees import LEAF, Forest, PlanarTree, corolla, enumerate_trees
@@ -60,9 +60,10 @@ def delta_basis(x: DiptBasis, t: Fraction = Fraction(1)) -> LinComb:
     if x.degree == 1:
         return LinComb()
     op, left, right = decompose_basis(x)
+    op_basis = star_basis if op == OP_STAR else succ_basis
     return LinComb(
         chain(
-            (((a, apply_op_basis(op, b, right)), c) for (a, b), c in delta_basis(left, t).items()),
+            (((a, op_basis(b, right)), c) for (a, b), c in delta_basis(left, t).items()),
             (((star_basis(left, a), b), c) for (a, b), c in delta_basis(right, t).items()),
             [((left, right), t)],
         )
@@ -73,15 +74,16 @@ def delta(x: LinComb, t: Fraction = Fraction(1)) -> LinComb:
     return linear(lambda key: delta_basis(key, t))(x)
 
 
-def semi_inf_rhs(op: str, x: LinComb, y: LinComb, t: Fraction = Fraction(1)) -> LinComb:
-    """Right side of the defining relation, computed from delta(x) and delta(y).
+def semi_inf_rhs(product, x: LinComb, y: LinComb, t: Fraction = Fraction(1)) -> LinComb:
+    """Right side of the defining relation for ``product`` (``star`` or
+    ``succ``), computed from delta(x) and delta(y).
 
     Used to check that the recursive coproduct is compatible with both
     operations on arbitrary (not just canonical) products.
     """
     acc = []
     for (a, b), c in delta(x, t).items():
-        for k, d in apply_op(op, LinComb.basis(b), y).items():
+        for k, d in product(LinComb.basis(b), y).items():
             acc.append(((a, k), c * d))
     for (a, b), c in delta(y, t).items():
         for k, d in star(x, LinComb.basis(a)).items():

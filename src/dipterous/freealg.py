@@ -33,7 +33,7 @@ from itertools import product
 from typing import Callable, Mapping, Sequence
 
 from .linalg import LinComb, bilinear
-from .series import catalan_series, geometric_compose, little_schroeder
+from .series import catalan_series, large_schroeder, little_schroeder
 from .trees import (
     LEAF,
     BinaryTree,
@@ -172,14 +172,6 @@ def decompose_basis(x: DiptBasis) -> tuple[str, DiptBasis, DiptBasis]:
     branches = (last,) if last.is_leaf else last.children
     right = DiptBasis(Forest(branches), x.word[d:])
     return (OP_SUCC, left, right)
-
-
-def apply_op(op: str, x: LinComb, y: LinComb) -> LinComb:
-    return star(x, y) if op == OP_STAR else succ(x, y)
-
-
-def apply_op_basis(op: str, a: DiptBasis, b: DiptBasis) -> DiptBasis:
-    return star_basis(a, b) if op == OP_STAR else succ_basis(a, b)
 
 
 def dipt_basis_of_degree(n: int, num_gens: int = 1) -> list[DiptBasis]:
@@ -378,7 +370,6 @@ perm_nap_prec = bilinear(perm_nap_prec_basis)
 class DimTable:
     dims: tuple[int, ...]
     reference: tuple[int, ...]
-    label: str
 
     @property
     def match(self) -> bool:
@@ -397,7 +388,7 @@ def dim_table(max_n: int) -> dict[str, DimTable]:
     mag = tuple(len(enumerate_trees(n)) for n in range(1, max_n + 1))
     ldipt = tuple(len(enumerate_binary(n)) for n in range(1, max_n + 1))
     return {
-        "dipt": DimTable(dipt, tuple(geometric_compose(little_schroeder(max_n), max_n)), "forests"),
-        "mag": DimTable(mag, tuple(little_schroeder(max_n)), "trees"),
-        "ldipt": DimTable(ldipt, tuple(catalan_series(max_n + 1)[1:]), "binary trees"),
+        "dipt": DimTable(dipt, tuple(large_schroeder(max_n))),
+        "mag": DimTable(mag, tuple(little_schroeder(max_n))),
+        "ldipt": DimTable(ldipt, tuple(catalan_series(max_n + 1)[1:])),
     }

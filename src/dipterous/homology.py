@@ -20,6 +20,12 @@ certifies exactness above degree one, i.e. Betti numbers (1, 0, 0, ...)
 in arity 1 and zero in higher arities. Each Betti number is
 dim C - rank(d here) - rank(d one arity up) on a graded piece, with every
 rank taken once per report from the operator's basis images.
+
+``koszul_report`` takes only the weight cap of its Betti table and face
+checks. The table's arity cap is ``MAX_ARITY`` (the face checks go one
+arity higher), and the homotopy check runs up to weight
+``HOMOTOPY_WEIGHT_CAP``, which also bounds its arity, since a chain's
+arity never exceeds its weight.
 """
 
 from __future__ import annotations
@@ -42,6 +48,9 @@ from .trees import Forest, Interned, _compositions
 
 SYM_STAR = "*"
 SYM_SUCC = ">"
+
+MAX_ARITY = 4
+HOMOTOPY_WEIGHT_CAP = 4
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +290,7 @@ class KoszulReport:
 
 
 def koszul_report(
-    max_arity: int = 4,
-    weight_cap: int = 5,
-    homotopy_arity_cap: int = 4,
-    homotopy_weight_cap: int = 4,
-    tamper: Callable[[LinComb], LinComb] | None = None,
+    weight_cap: int = 5, tamper: Callable[[LinComb], LinComb] | None = None
 ) -> KoszulReport:
     """Exactness certificate: d^2 = 0, simplicial identities, dh + hd = id,
     and the Betti table on all graded pieces within the caps.
@@ -298,7 +303,7 @@ def koszul_report(
 
     square_zero_ok = True
     simplicial_ok = True
-    for arity in range(2, max_arity + 2):
+    for arity in range(2, MAX_ARITY + 2):
         for weight in range(arity, weight_cap + 1):
             for b in chain_basis(arity, weight):
                 if d(d(LinComb.basis(b))):
@@ -313,8 +318,8 @@ def koszul_report(
                             witness = witness or f"d_{i} d_{j} != d_{j-1} d_{i} on {b}"
 
     homotopy_ok = True
-    for arity in range(2, homotopy_arity_cap + 1):
-        for weight in range(arity, homotopy_weight_cap + 1):
+    for arity in range(2, HOMOTOPY_WEIGHT_CAP + 1):
+        for weight in range(arity, HOMOTOPY_WEIGHT_CAP + 1):
             for b in chain_basis(arity, weight):
                 x = LinComb.basis(b)
                 if d(homotopy(x)) + homotopy(d(x)) != x:
@@ -326,7 +331,7 @@ def koszul_report(
     d_rank = cache(lambda arity, weight: _differential_rank(d, arity, weight))
     pieces = []
     betti_ok = True
-    for arity in range(1, max_arity + 1):
+    for arity in range(1, MAX_ARITY + 1):
         for weight in range(arity, weight_cap + 1):
             kernel_dim = len(chain_basis(arity, weight)) - d_rank(arity, weight)
             image_rank = d_rank(arity + 1, weight)

@@ -7,9 +7,10 @@ Counts per degree are the little Schroeder numbers (1, 1, 3, 11, 45, ...);
 forests of such trees are counted by the large Schroeder numbers
 (1, 2, 6, 22, 90, ...).
 
-Each kind of tree has one canonical text encoding which doubles as its
-sort key; see ``encode``/``parse``. Enumerations are ordered by degree
-then lexicographically on encodings so downstream matrices are reproducible.
+Each kind of tree has one canonical text encoding, given by ``str`` and
+inverted by ``parse``, which doubles as its sort key. Enumerations are
+ordered by degree then lexicographically on encodings so downstream
+matrices are reproducible.
 Each enumeration is computed once per argument tuple under ``functools.cache``
 and returned as an immutable tuple; ``cache_info``/``cache_clear`` on the
 function report and free it.
@@ -197,13 +198,6 @@ def graft(ts) -> PlanarTree:
     return PlanarTree(ts)
 
 
-def decompose(t: PlanarTree) -> tuple[PlanarTree, ...]:
-    """The unique children sequence with ``graft(decompose(t)) == t``."""
-    if t.is_leaf:
-        raise ValueError("leaf has no grafting decomposition")
-    return t.children
-
-
 def corolla(n: int) -> PlanarTree:
     """The depth-one tree with n leaves."""
     if n < 2:
@@ -268,11 +262,6 @@ def enumerate_binary(n: int) -> tuple[BinaryTree, ...]:
     return tuple(sorted(found, key=str))
 
 
-def bin_graft(l: BinaryTree, r: BinaryTree) -> BinaryTree:
-    """l v r: glue the roots under a new root; degrees add plus one."""
-    return BinaryTree(l, r)
-
-
 def bin_nwarrow(r: BinaryTree, s: BinaryTree) -> BinaryTree:
     """Glue the root of s onto the rightmost leaf of r; degrees add.
 
@@ -329,11 +318,6 @@ def _nap_multisets(total: int, labels: tuple[str, ...]) -> list[tuple[NapTree, .
         return out
 
     return rec(total, 0)
-
-
-def encode(x) -> str:
-    """Canonical text form of any tree kind; inverse of ``parse``."""
-    return str(x)
 
 
 class _Parser:
@@ -415,32 +399,28 @@ class _Parser:
         return NapTree(label, children)
 
 
-def parse_tree(text: str) -> PlanarTree:
+def _parse_all(rule, text: str):
+    """Run one ``_Parser`` rule over the whole of ``text``."""
     p = _Parser(text)
-    t = p.tree()
+    out = rule(p)
     p.done()
-    return t
+    return out
+
+
+def parse_tree(text: str) -> PlanarTree:
+    return _parse_all(_Parser.tree, text)
 
 
 def parse_forest(text: str) -> Forest:
-    p = _Parser(text)
-    f = p.forest()
-    p.done()
-    return f
+    return _parse_all(_Parser.forest, text)
 
 
 def parse_binary(text: str) -> BinaryTree:
-    p = _Parser(text)
-    t = p.binary()
-    p.done()
-    return t
+    return _parse_all(_Parser.binary, text)
 
 
 def parse_nap(text: str) -> NapTree:
-    p = _Parser(text)
-    t = p.nap()
-    p.done()
-    return t
+    return _parse_all(_Parser.nap, text)
 
 
 def parse(text: str):

@@ -179,6 +179,30 @@ def test_verify_names_a_clamped_cap(capsys):
     assert err.count("\n") == 1 and "6" in err and "4" in err
 
 
+def test_homology_names_the_clamped_homotopy_cap(capsys):
+    _, _, err = run(capsys, "homology", "--weight-cap", "4")
+    assert err == ""
+    _, _, err = run(capsys, "homology", "--weight-cap", "5")
+    assert err.count("\n") == 1 and "weight 4" in err and "--weight-cap 5" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dims", "all", "--max-degree", "0"],
+        ["homology", "--weight-cap", "0"],
+        ["dims", "all", "--max-degree", "abc"],
+    ],
+    ids=["max-degree-0", "weight-cap-0", "max-degree-abc"],
+)
+def test_bad_cap_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert argv[-2] in err and "Traceback" not in err
+
+
 ROOT = Path(__file__).resolve().parents[1]
 
 

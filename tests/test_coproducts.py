@@ -84,8 +84,8 @@ def test_delta_compatible_exhaustive_low_degree():
             for a in dipt_basis_of_degree(na):
                 for b in dipt_basis_of_degree(nb):
                     x, y = LinComb.basis(a), LinComb.basis(b)
-                    assert delta(star(x, y)) == semi_inf_rhs("star", x, y)
-                    assert delta(succ(x, y)) == semi_inf_rhs("succ", x, y)
+                    assert delta(star(x, y)) == semi_inf_rhs(star, x, y)
+                    assert delta(succ(x, y)) == semi_inf_rhs(succ, x, y)
 
 
 def test_delta_parameter_scales_top_term():

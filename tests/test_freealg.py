@@ -4,6 +4,8 @@ import pytest
 
 from dipterous.linalg import LinComb
 from dipterous.freealg import (
+    OP_STAR,
+    OP_SUCC,
     AlgebraTarget,
     DiptBasis,
     LDiptBasis,
@@ -23,7 +25,6 @@ from dipterous.freealg import (
     ldipt_nwarrow_basis,
     ldipt_succ,
     ldipt_succ_basis,
-    apply_op,
     perm_nap_prec_basis,
     perm_nap_star_basis,
     rdipt_prec,
@@ -93,7 +94,7 @@ def test_decompose_is_a_section_degree_le_7():
         for b in dipt_basis_of_degree(n):
             op, l, r = decompose_basis(b)
             assert l.degree + r.degree == n
-            rebuilt = apply_op(op, LinComb.basis(l), LinComb.basis(r))
+            rebuilt = {OP_STAR: star, OP_SUCC: succ}[op](LinComb.basis(l), LinComb.basis(r))
             assert rebuilt == LinComb.basis(b)
 
 

@@ -195,7 +195,7 @@ def test_homology_ranks():
 
 
 def test_koszul_report_clean():
-    report = koszul_report(max_arity=3, weight_cap=4, homotopy_arity_cap=3, homotopy_weight_cap=3)
+    report = koszul_report(weight_cap=4)
     assert isinstance(report, KoszulReport)
     assert report.koszul_ok
     assert report.witness is None
@@ -224,7 +224,7 @@ KOSZUL_PIECES_W5 = [
 
 
 def test_koszul_report_piece_table():
-    report = koszul_report(max_arity=4, weight_cap=5)
+    report = koszul_report(weight_cap=5)
     table = [
         (p["arity"], p["weight"], p["kernel"], p["image"], p["betti"]) for p in report.pieces
     ]
@@ -239,6 +239,6 @@ def test_koszul_report_detects_tampered_signs():
         key, coeff = items[0]
         return c - LinComb.basis(key, 2 * coeff)
 
-    report = koszul_report(max_arity=3, weight_cap=4, tamper=flip_first_sign)
+    report = koszul_report(weight_cap=4, tamper=flip_first_sign)
     assert not report.koszul_ok
     assert report.witness is not None

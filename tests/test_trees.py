@@ -5,18 +5,16 @@ from hypothesis import strategies as st
 from dipterous.series import catalan_series, large_schroeder, little_schroeder
 from dipterous.trees import (
     BLEAF,
+    BinaryTree,
     LEAF,
     Forest,
     NapTree,
     ParseError,
     PlanarTree,
     Y1,
-    bin_graft,
     bin_nearrow,
     bin_nwarrow,
     corolla,
-    decompose,
-    encode,
     enumerate_binary,
     enumerate_forests,
     enumerate_nap,
@@ -47,10 +45,8 @@ def test_graft_rejects_small():
 
 
 def test_decompose_inverse():
-    assert decompose(V2) == (LEAF, LEAF)
-    assert decompose(corolla(3)) == (LEAF, LEAF, LEAF)
-    with pytest.raises(ValueError):
-        decompose(LEAF)
+    assert V2.children == (LEAF, LEAF)
+    assert corolla(3).children == (LEAF, LEAF, LEAF)
 
 
 def test_unary_node_rejected():
@@ -79,7 +75,7 @@ def test_enumerate_forests_counts():
 def test_graft_decompose_roundtrip_all_degree_le_6():
     for n in range(2, 7):
         for t in enumerate_trees(n):
-            assert graft(decompose(t)) == t
+            assert graft(t.children) == t
 
 
 def test_corolla():
@@ -96,11 +92,11 @@ def test_enumerate_binary_counts():
 
 def test_bin_ops():
     right_comb = bin_nwarrow(Y1, Y1)
-    assert right_comb == bin_graft(BLEAF, Y1)
+    assert right_comb == BinaryTree(BLEAF, Y1)
     assert bin_nwarrow(BLEAF, Y1) == Y1
     assert bin_nwarrow(Y1, BLEAF) == Y1
     # mirror: glue onto the leftmost leaf
-    assert bin_nearrow(Y1, Y1) == bin_graft(Y1, BLEAF)
+    assert bin_nearrow(Y1, Y1) == BinaryTree(Y1, BLEAF)
     assert bin_nearrow(BLEAF, Y1) == Y1
 
 
@@ -108,14 +104,14 @@ def test_bin_nwarrow_degrees_add():
     for r in enumerate_binary(2):
         for s in enumerate_binary(3):
             assert bin_nwarrow(r, s).degree == 5
-            assert bin_graft(r, s).degree == 6
+            assert BinaryTree(r, s).degree == 6
 
 
 def test_encode_parse_examples():
-    assert encode(V2) == "(| |)"
+    assert str(V2) == "(| |)"
     assert parse("[(| |) |]") == Forest((V2, LEAF))
     assert parse("[(| |) |]").degree == 3
-    assert encode(NapTree("v", (NapTree("w"),))) == "v[w]"
+    assert str(NapTree("v", (NapTree("w"),))) == "v[w]"
 
 
 def test_parse_errors_carry_position():
@@ -134,25 +130,25 @@ def test_parse_errors_carry_position():
 def test_roundtrip_on_enumerations():
     for n in range(1, 6):
         for t in enumerate_trees(n):
-            assert parse_tree(encode(t)) == t
+            assert parse_tree(str(t)) == t
         for f in enumerate_forests(n):
-            assert parse_forest(encode(f)) == f
+            assert parse_forest(str(f)) == f
     for n in range(0, 5):
         for b in enumerate_binary(n):
-            assert parse_binary(encode(b)) == b
+            assert parse_binary(str(b)) == b
 
 
 def test_encodings_injective_per_enumeration():
     for n in range(1, 7):
-        codes = [encode(t) for t in enumerate_trees(n)]
+        codes = [str(t) for t in enumerate_trees(n)]
         assert len(set(codes)) == len(codes)
-        fcodes = [encode(f) for f in enumerate_forests(n)]
+        fcodes = [str(f) for f in enumerate_forests(n)]
         assert len(set(fcodes)) == len(fcodes)
 
 
 def test_enumeration_sorted_by_encoding():
     for n in range(1, 6):
-        codes = [encode(t) for t in enumerate_trees(n)]
+        codes = [str(t) for t in enumerate_trees(n)]
         assert codes == sorted(codes)
 
 
@@ -163,15 +159,15 @@ forests = st.lists(planar_trees, min_size=1, max_size=3).map(lambda ts: Forest(t
 @given(planar_trees)
 @settings(max_examples=80)
 def test_planar_roundtrip_random(t):
-    assert parse_tree(encode(t)) == t
+    assert parse_tree(str(t)) == t
     if not t.is_leaf:
-        assert graft(decompose(t)) == t
+        assert graft(t.children) == t
 
 
 @given(forests)
 @settings(max_examples=60)
 def test_forest_roundtrip_random(f):
-    assert parse_forest(encode(f)) == f
+    assert parse_forest(str(f)) == f
     assert f.degree == sum(t.degree for t in f.trees)
 
 
@@ -190,20 +186,20 @@ def nap_trees(draw, max_nodes=5):
 @given(nap_trees())
 @settings(max_examples=60)
 def test_nap_roundtrip(t):
-    assert parse(encode(t)) == t
+    assert parse(str(t)) == t
 
 
 def test_nap_children_sorted():
     t = NapTree("v", (NapTree("w"), NapTree("u")))
-    assert encode(t) == "v[u,w]"
+    assert str(t) == "v[u,w]"
 
 
 def test_nap_graft_examples():
     v, w, u = NapTree("v"), NapTree("w"), NapTree("u")
-    assert encode(nap_graft(v, w)) == "v[w]"
+    assert str(nap_graft(v, w)) == "v[w]"
     assert nap_graft(nap_graft(v, w), u) == nap_graft(nap_graft(v, u), w)
     vw = nap_graft(v, w)
-    assert encode(nap_graft(v, vw)) == "v[v[w]]"
+    assert str(nap_graft(v, vw)) == "v[v[w]]"
 
 
 def test_nap_identity_exhaustive_degree_le_6():
