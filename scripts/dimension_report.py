@@ -9,6 +9,7 @@ composition identity, and the Betti table summary.
 import argparse
 
 from dipterous.bialgebras import primcom_dims
+from dipterous.cli import positive_int
 from dipterous.coproducts import filtration_dim, pbw_dim_check
 from dipterous.freealg import dim_table
 from dipterous.homology import koszul_report, qn_dim_table
@@ -17,7 +18,7 @@ from dipterous.series import little_schroeder, qndipt_dims
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-degree", type=int, default=5)
+    parser.add_argument("--max-degree", type=positive_int, default=5)
     args = parser.parse_args()
     n = args.max_degree
 

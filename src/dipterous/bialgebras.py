@@ -41,9 +41,9 @@ from .linalg import (
     bilinear,
     kernel_of_operator,
     linear,
-    map_slot,
     operator_rank,
 )
+from .coproducts import corestrict
 from .freealg import (
     OP_STAR,
     AlgebraTarget,
@@ -293,27 +293,10 @@ def com_symmetrize(word: tuple[int, ...]) -> LinComb:
     return LinComb((DiptBasis(forest, perm), coeff) for perm in permutations(word))
 
 
-def hopf_reduced_iter(x: LinComb, n: int) -> LinComb:
-    """n-fold iterate of the reduced cocommutative coproduct on a body element."""
-    out = reduced(hopf_delta, x)
-    for _ in range(n - 1):
-        out = map_slot(out, 0, lambda k: reduced_basis(hopf_delta_basis, k))
-    return out
-
-
 def com_corestrict(x: LinComb) -> LinComb:
     """Corestriction onto symmetric words (sorted letter multisets)."""
-    acc = []
-    for key, c in x.items():
-        m = key.degree
-        if m == 1:
-            acc.append(((key.word[0],), c))
-            continue
-        coeff = Fraction(1, factorial(m))
-        for tup, d in hopf_reduced_iter(LinComb.basis(key), m - 1).items():
-            if all(k.degree == 1 for k in tup):
-                acc.append((tuple(sorted(k.word[0] for k in tup)), c * d * coeff))
-    return LinComb(acc)
+    words = corestrict(lambda k: reduced_basis(hopf_delta_basis, k), x, lambda ls: tuple(sorted(ls)))
+    return LinComb((w, c * Fraction(1, factorial(len(w)))) for w, c in words.items())
 
 
 def primcom_dims(max_n: int) -> tuple[list[int], list[int]]:

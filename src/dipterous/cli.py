@@ -230,46 +230,48 @@ def positive_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-degree", type=positive_int, default=5, metavar="N")
-    common.add_argument("--t", type=fraction, default=Fraction(1), metavar="p/q",
-                        help="deformation weight of the coproduct (default 1)")
-    common.add_argument("--seed", type=int, default=0, metavar="S")
-    common.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    common.add_argument("--weight-cap", type=positive_int, default=5, metavar="W")
-
     parser = argparse.ArgumentParser(
         prog="dipterous",
         description="Exact tree-algebra computations: dimensions, primitives, homology, antipodes, dynamics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    flags = {
+        "--max-degree": dict(type=positive_int, default=5, metavar="N"),
+        "--t": dict(type=fraction, default=Fraction(1), metavar="p/q",
+                    help="deformation weight of the coproduct (default 1)"),
+        "--weight-cap": dict(type=positive_int, default=5, metavar="W"),
+        # Only verify reads --seed; perfbench/run.py passes it to prim, homology and antipode.
+        "--seed": dict(type=int, default=0, metavar="S"),
+    }
 
-    p = sub.add_parser("dims", parents=[common], help="dimension tables vs reference series")
+    def command(name: str, run, help: str, *reads: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        for flag in reads:
+            p.add_argument(flag, **flags[flag])
+        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+        p.set_defaults(run=run)
+        return p
+
+    p = command("dims", cmd_dims, "dimension tables vs reference series", "--max-degree")
     p.add_argument("which", choices=["dipt", "mag", "qndipt", "ldipt", "all"])
-    p.set_defaults(run=cmd_dims)
 
-    p = sub.add_parser("prim", parents=[common], help="primitive-space dimensions per degree")
+    p = command("prim", cmd_prim, "primitive-space dimensions per degree", "--max-degree", "--t", "--seed")
     p.add_argument("coproduct", choices=["semiinf", "hopf", "both"])
-    p.set_defaults(run=cmd_prim)
 
-    p = sub.add_parser("homology", parents=[common], help="exactness certificate and Betti table")
-    p.set_defaults(run=cmd_homology)
+    command("homology", cmd_homology, "exactness certificate and Betti table", "--weight-cap", "--seed")
 
-    p = sub.add_parser("verify", parents=[common], help="property suites with witnesses")
+    p = command("verify", cmd_verify, "property suites with witnesses", "--max-degree", "--seed")
     p.add_argument("suite", choices=["axioms", "coassoc", "bialgebra", "pbw", "all"])
-    p.set_defaults(run=cmd_verify)
 
-    p = sub.add_parser("antipode", parents=[common], help="antipode tables at one degree")
+    p = command("antipode", cmd_antipode, "antipode tables at one degree", "--max-degree", "--seed")
     p.add_argument("degree", type=int)
-    p.set_defaults(run=cmd_antipode)
 
-    p = sub.add_parser("dynamics", parents=[common], help="stochastic rewriting from a grammar file")
+    p = command("dynamics", cmd_dynamics, "stochastic rewriting from a grammar file")
     p.add_argument("grammar")
     p.add_argument("start")
     p.add_argument("steps", type=int)
     p.add_argument("--free-weights", action="store_true",
                    help="allow non-stochastic rule weights")
-    p.set_defaults(run=cmd_dynamics)
 
     return parser
 

@@ -95,14 +95,19 @@ def semi_inf_rhs(product, x: LinComb, y: LinComb, t: Fraction = Fraction(1)) -> 
     return LinComb(acc)
 
 
+def iterate(cop_basis, x: LinComb, n: int) -> LinComb:
+    """n-fold left iterate, of arity n + 1, of a coproduct given on basis keys."""
+    out = linear(cop_basis)(x)
+    for _ in range(n - 1):
+        out = map_slot(out, 0, cop_basis)
+    return out
+
+
 def delta_iter(x: LinComb, n: int, t: Fraction = Fraction(1)) -> LinComb:
     """Left-iterated coproduct of arity n + 1."""
     if n < 1:
         raise ValueError("iteration count must be >= 1")
-    out = delta(x, t)
-    for _ in range(n - 1):
-        out = map_slot(out, 0, lambda k: delta_basis(k, t))
-    return out
+    return iterate(lambda k: delta_basis(k, t), x, n)
 
 
 def _delta_iter_images(r: int, basis: list[DiptBasis], t: Fraction) -> Iterator[LinComb]:
@@ -198,23 +203,27 @@ def s_section(word: tuple[int, ...]) -> LinComb:
     return LinComb.basis(DiptBasis(Forest((LEAF,) * n), tuple(word)))
 
 
-def phi_corestrict(x: LinComb) -> LinComb:
-    """Corestriction onto words: project iterated coproducts to generators.
-
-    For a homogeneous element of degree n only the n-fold generator tuples
-    survive, so the image of a degree-n element is a combination of
-    length-n words. Satisfies phi(s_section(w)) = w.
+def corestrict(cop_basis, x: LinComb, word=tuple) -> LinComb:
+    """Project iterated coproducts onto all-generator tuples, whose letters
+    ``word`` turns into the output key. A generator is its own 1-tuple.
     """
     acc = []
     for key, c in x.items():
         n = key.degree
-        if n == 1:
-            acc.append(((key.word[0],), c))
-            continue
-        for tup, d in delta_iter(LinComb.basis(key), n - 1).items():
+        tuples = iterate(cop_basis, LinComb.basis(key), n - 1) if n > 1 else LinComb.basis((key,))
+        for tup, d in tuples.items():
             if all(k.degree == 1 for k in tup):
-                acc.append((tuple(k.word[0] for k in tup), c * d))
+                acc.append((word(k.word[0] for k in tup), c * d))
     return LinComb(acc)
+
+
+def phi_corestrict(x: LinComb) -> LinComb:
+    """Corestriction onto words: project iterated coproducts to generators.
+
+    The image of a degree-n element is a combination of length-n words.
+    Satisfies phi(s_section(w)) = w.
+    """
+    return corestrict(lambda k: delta_basis(k, Fraction(1)), x)
 
 
 def phi_tensor(te: LinComb) -> LinComb:

@@ -34,7 +34,6 @@ from .bialgebras import (
 from .coproducts import (
     delta,
     delta_basis,
-    filtration_dim,
     pbw_dim_check,
     semi_inf_rhs,
 )
@@ -381,9 +380,9 @@ def bialgebra_suite(max_degree: int = 4) -> list[Check]:
 
 
 def pbw_suite(max_n: int = 6) -> list[Check]:
-    prim_dims = [filtration_dim(1, n) for n in range(1, min(max_n, TREE_COUNT_DEGREE_CAP) + 1)]
-    expected = little_schroeder(len(prim_dims))
     report = pbw_dim_check(max_n)
+    prim_dims = list(report.prim_dims[:TREE_COUNT_DEGREE_CAP])
+    expected = little_schroeder(len(prim_dims))
     return [
         Check(
             "primitive dims are the tree counts",

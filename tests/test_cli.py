@@ -9,6 +9,8 @@ import pytest
 
 from dipterous.cli import main
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -203,7 +205,55 @@ def test_bad_cap_is_usage_error(capsys, argv):
     assert argv[-2] in err and "Traceback" not in err
 
 
-ROOT = Path(__file__).resolve().parents[1]
+GRAMMAR = str(ROOT / "scripts" / "data" / "substitution.grammar")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dims", "all", "--t", "1/2"],
+        ["dims", "all", "--weight-cap", "3"],
+        ["dims", "all", "--seed", "1"],
+        ["prim", "semiinf", "--weight-cap", "3"],
+        ["homology", "--max-degree", "3"],
+        ["homology", "--t", "1/2"],
+        ["verify", "axioms", "--t", "1/2"],
+        ["verify", "axioms", "--weight-cap", "3"],
+        ["antipode", "1", "--t", "1/2"],
+        ["antipode", "1", "--weight-cap", "3"],
+        ["dynamics", GRAMMAR, "s", "0", "--max-degree", "3"],
+        ["dynamics", GRAMMAR, "s", "0", "--t", "1/2"],
+        ["dynamics", GRAMMAR, "s", "0", "--weight-cap", "3"],
+        ["dynamics", GRAMMAR, "s", "0", "--seed", "1"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2][1:]}",
+)
+def test_unread_flag_is_usage_error(capsys, argv):
+    # A flag the command does not read would otherwise certify a
+    # computation other than the one asked for.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prim", "semiinf", "--max-degree", "4"],
+        ["homology", "--weight-cap", "4"],
+        ["antipode", "4", "--max-degree", "4"],
+    ],
+    ids=["prim", "homology", "antipode"],
+)
+def test_benchmarked_commands_accept_seed(capsys, argv):
+    # The benchmark harness appends --json --seed <n> to each command it runs.
+    code, out, _ = run(capsys, *argv, "--json", "--seed", "1")
+    assert code == 0
+    assert run(capsys, *argv, "--json") == (code, out, "")
+
 
 
 def _run_subprocess(argv, **kwargs):
@@ -228,6 +278,23 @@ def test_dimension_report_script_runs():
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert "koszul_ok=True" in proc.stdout.decode().splitlines()
+
+
+def test_dimension_report_rejects_a_degree_below_one():
+    proc = _run_subprocess(
+        [str(ROOT / "scripts" / "dimension_report.py"), "--max-degree", "0"], stdout=subprocess.PIPE
+    )
+    err = proc.stderr.decode()
+    assert proc.returncode == 2
+    assert "--max-degree" in err and "Traceback" not in err
+
+
+def test_run_acceptance_reports_the_one_failing_criterion():
+    # Criterion 9 (rigidity) is the documented negative finding; the exit
+    # status counts failing criteria.
+    proc = _run_subprocess([str(ROOT / "scripts" / "run_acceptance.py")], stdout=subprocess.PIPE)
+    assert proc.returncode == 1, proc.stderr.decode()
+    assert proc.stdout.decode().splitlines()[-1] == "10/11 criteria passed"
 
 
 def test_json_outputs_are_deterministic(capsys):
