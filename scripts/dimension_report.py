@@ -10,7 +10,7 @@ import argparse
 
 from dipterous.bialgebras import primcom_dims
 from dipterous.cli import positive_int
-from dipterous.coproducts import filtration_dim, pbw_dim_check
+from dipterous.coproducts import pbw_dim_check
 from dipterous.freealg import dim_table
 from dipterous.homology import koszul_report, qn_dim_table
 from dipterous.series import little_schroeder, qndipt_dims
@@ -28,13 +28,12 @@ def main() -> int:
     print(f"qndipt  {qn_dim_table(n)}  reference {qndipt_dims(n)}")
 
     print("\n== primitive dimensions ==")
-    semi = [filtration_dim(1, k) for k in range(1, n + 1)]
-    print(f"one-sided coproduct kernel: {semi}  (tree counts {little_schroeder(n)})")
+    rep = pbw_dim_check(n)
+    print(f"one-sided coproduct kernel: {list(rep.prim_dims)}  (tree counts {little_schroeder(n)})")
     hopf, oracle = primcom_dims(n)
     print(f"cocommutative coproduct kernel: {hopf}  (series oracle {oracle})")
 
     print("\n== composition identity ==")
-    rep = pbw_dim_check(n)
     print(f"forests {list(rep.forest_dims)} = compositions of {list(rep.prim_dims)}: {rep.ok}")
 
     print("\n== homology ==")

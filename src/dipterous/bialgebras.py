@@ -222,23 +222,20 @@ def _antipode_basis(key: DiptBasis, cop_basis) -> LinComb:
     return LinComb(chain([(key, -1)], terms))
 
 
-def _antipode(x: LinComb, cop_basis) -> LinComb:
-    """Linear extension of ``_antipode_basis`` that fixes the unit."""
-
-    def image(key) -> LinComb:
-        return LinComb.basis(UNIT) if key == UNIT else _antipode_basis(key, cop_basis)
-
-    return linear(image)(x)
+def _antipode_image(key, cop_basis) -> LinComb:
+    """The antipode of one key for ``cop_basis``; the unit is fixed."""
+    return LinComb.basis(UNIT) if key == UNIT else _antipode_basis(key, cop_basis)
 
 
-def antipode_S(x: LinComb) -> LinComb:
-    """Convolution inverse of the identity for the multiplicative coproduct."""
-    return _antipode(x, blacktriangle_basis)
+# Each antipode is one linear extension, built once. Its key map reads the
+# coproduct by global name at call time, so a coproduct rebound after import
+# (perfbench's tracer wraps both) is the one used.
 
+#: Convolution inverse of the identity for the multiplicative coproduct.
+antipode_S = linear(lambda key: _antipode_image(key, blacktriangle_basis))
 
-def antipode_Sprime(x: LinComb) -> LinComb:
-    """Convolution inverse for the semi-infinitesimal coproduct."""
-    return _antipode(x, vartriangle_basis)
+#: Convolution inverse for the semi-infinitesimal coproduct.
+antipode_Sprime = linear(lambda key: _antipode_image(key, vartriangle_basis))
 
 
 def convolve(f, cop, x: LinComb, side: str = "left") -> LinComb:

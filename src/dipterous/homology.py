@@ -19,7 +19,7 @@ homotopy peels the last slot through the canonical basis splitting and
 certifies exactness above degree one, i.e. Betti numbers (1, 0, 0, ...)
 in arity 1 and zero in higher arities. Each Betti number is
 dim C - rank(d here) - rank(d one arity up) on a graded piece, with every
-rank taken once per report from the operator's basis images.
+rank taken once per report, from the basis images the d^2 check also uses.
 
 ``koszul_report`` takes only the weight cap of its Betti table and face
 checks. The table's arity cap is ``MAX_ARITY`` (the face checks go one
@@ -249,19 +249,19 @@ def homotopy_basis(key: ChainKey) -> LinComb:
 homotopy = linear(homotopy_basis)
 
 
-def _differential_rank(d: Callable[[LinComb], LinComb], arity: int, weight: int) -> int:
-    """Rank of d on the (arity, weight) piece; d vanishes in arity 1."""
+def _differential_rank(arity: int, weight: int) -> int:
+    """Rank of the differential on the (arity, weight) piece; zero in arity 1."""
     if arity == 1:
         return 0
-    return operator_rank(d(LinComb.basis(b)) for b in chain_basis(arity, weight))
+    return operator_rank(differential(LinComb.basis(b)) for b in chain_basis(arity, weight))
 
 
 def homology_rank(arity: int, weight: int) -> int:
     """dim ker(d) - rank(d one arity up) on the graded piece, exactly."""
     if arity < 1 or weight < arity:
         raise ValueError("need arity >= 1 and weight >= arity")
-    kernel_dim = len(chain_basis(arity, weight)) - _differential_rank(differential, arity, weight)
-    return kernel_dim - _differential_rank(differential, arity + 1, weight)
+    kernel_dim = len(chain_basis(arity, weight)) - _differential_rank(arity, weight)
+    return kernel_dim - _differential_rank(arity + 1, weight)
 
 
 @dataclass(frozen=True)
@@ -301,21 +301,30 @@ def koszul_report(
     d = differential if tamper is None else (lambda c: tamper(differential(c)))
     witness = None
 
+    # One pass per graded piece: the images of its basis serve the d^2
+    # check and its rank. Each rank serves as "here" at its arity and
+    # "above" one arity down in the Betti table; a piece not visited is
+    # empty or in arity 1, where d vanishes, and has rank 0.
+    d_rank: dict[tuple[int, int], int] = {}
     square_zero_ok = True
     simplicial_ok = True
     for arity in range(2, MAX_ARITY + 2):
         for weight in range(arity, weight_cap + 1):
-            for b in chain_basis(arity, weight):
-                if d(d(LinComb.basis(b))):
+            basis = chain_basis(arity, weight)
+            images = [d(LinComb.basis(b)) for b in basis]
+            for b, image in zip(basis, images):
+                if d(image):
                     square_zero_ok = False
                     witness = witness or f"d^2 != 0 on {b}"
+                # Faces send basis chains to basis chains, and equal chains
+                # are one interned key.
                 for i in range(1, arity):
                     for j in range(i + 1, arity):
-                        lhs = face(i, face(j, LinComb.basis(b)))
-                        rhs = face(j - 1, face(i, LinComb.basis(b)))
-                        if lhs != rhs:
+                        lhs = face_basis(i, face_basis(j, b))
+                        if lhs is not face_basis(j - 1, face_basis(i, b)):
                             simplicial_ok = False
                             witness = witness or f"d_{i} d_{j} != d_{j-1} d_{i} on {b}"
+            d_rank[arity, weight] = operator_rank(images)
 
     homotopy_ok = True
     for arity in range(2, HOMOTOPY_WEIGHT_CAP + 1):
@@ -326,15 +335,12 @@ def koszul_report(
                     homotopy_ok = False
                     witness = witness or f"dh + hd != id on {b}"
 
-    # Each piece's rank serves as "here" at its arity and "above" one arity
-    # down, so it is taken once and kept (as an int) for the whole report.
-    d_rank = cache(lambda arity, weight: _differential_rank(d, arity, weight))
     pieces = []
     betti_ok = True
     for arity in range(1, MAX_ARITY + 1):
         for weight in range(arity, weight_cap + 1):
-            kernel_dim = len(chain_basis(arity, weight)) - d_rank(arity, weight)
-            image_rank = d_rank(arity + 1, weight)
+            kernel_dim = len(chain_basis(arity, weight)) - d_rank.get((arity, weight), 0)
+            image_rank = d_rank.get((arity + 1, weight), 0)
             betti = kernel_dim - image_rank
             expected = 1 if (arity == 1 and weight == 1) else 0
             if betti != expected:

@@ -18,7 +18,9 @@ function report and free it.
 Planar trees and forests, like the basis keys built on them elsewhere,
 are hash-consed (``Interned``): each distinct value is built once and kept
 in a per-class table, so equal keys are the same object, and hashing and
-equality are by identity and never walk a tree. The tables only grow.
+equality are by identity and never walk a tree. The tables only grow. Each
+planar tree and forest also stores its encoding, so ``str`` and the sorts
+keyed on it never re-encode a tree.
 """
 
 from __future__ import annotations
@@ -83,10 +85,11 @@ class PlanarTree(Interned):
     """A planar rooted tree whose internal nodes all have >= 2 children.
 
     The leaf is ``PlanarTree()`` with no children; ``degree`` is the number
-    of leaves.
+    of leaves. Its encoding is built once, from the children's stored
+    encodings, and kept in ``text``.
     """
 
-    __slots__ = ("children", "degree")
+    __slots__ = ("children", "degree", "text")
     _fields = ("children",)
 
     def __new__(cls, children: tuple["PlanarTree", ...] = ()):
@@ -96,25 +99,28 @@ class PlanarTree(Interned):
     def _derive(children) -> tuple:
         if len(children) == 1:
             raise ValueError("unary nodes are not in the Schroeder basis")
-        return (sum(c.degree for c in children) if children else 1,)
+        if not children:
+            return (1, "|")
+        return (
+            sum(c.degree for c in children),
+            "(" + " ".join(c.text for c in children) + ")",
+        )
 
     @property
     def is_leaf(self) -> bool:
         return not self.children
 
     def __str__(self) -> str:
-        if self.is_leaf:
-            return "|"
-        return "(" + " ".join(str(c) for c in self.children) + ")"
+        return self.text
 
 
 LEAF = PlanarTree()
 
 
 class Forest(Interned):
-    """A nonempty ordered sequence of planar trees."""
+    """A nonempty ordered sequence of planar trees; its encoding is stored."""
 
-    __slots__ = ("trees", "degree")
+    __slots__ = ("trees", "degree", "text")
     _fields = ("trees",)
 
     def __new__(cls, trees: tuple[PlanarTree, ...]):
@@ -124,13 +130,13 @@ class Forest(Interned):
     def _derive(trees) -> tuple:
         if not trees:
             raise ValueError("forests are nonempty")
-        return (sum(t.degree for t in trees),)
+        return (sum(t.degree for t in trees), "[" + " ".join(t.text for t in trees) + "]")
 
     def __len__(self) -> int:
         return len(self.trees)
 
     def __str__(self) -> str:
-        return "[" + " ".join(str(t) for t in self.trees) + "]"
+        return self.text
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,16 @@ from fractions import Fraction
 
 import pytest
 
+from dipterous import homology
 from dipterous.linalg import LinComb
-from dipterous.freealg import DiptBasis, generator
+from dipterous.freealg import DiptBasis, generator, star_basis
 from dipterous.homology import (
     ChainKey,
     KoszulReport,
     QNBasis,
     SYM_STAR,
     SYM_SUCC,
+    chain,
     chain_basis,
     differential,
     face,
@@ -242,3 +244,51 @@ def test_koszul_report_detects_tampered_signs():
     report = koszul_report(weight_cap=4, tamper=flip_first_sign)
     assert not report.koszul_ok
     assert report.witness is not None
+    assert report.witness.startswith("d^2")
+
+
+# (arity, weight, kernel, image, betti) of every piece at weight cap 6.
+KOSZUL_PIECES_W6 = [
+    (1, 1, 1, 0, 1),
+    (1, 2, 2, 2, 0),
+    (1, 3, 6, 6, 0),
+    (1, 4, 22, 22, 0),
+    (1, 5, 90, 90, 0),
+    (1, 6, 394, 394, 0),
+    (2, 2, 0, 0, 0),
+    (2, 3, 2, 2, 0),
+    (2, 4, 10, 10, 0),
+    (2, 5, 46, 46, 0),
+    (2, 6, 214, 214, 0),
+    (3, 3, 0, 0, 0),
+    (3, 4, 2, 2, 0),
+    (3, 5, 14, 14, 0),
+    (3, 6, 78, 78, 0),
+    (4, 4, 0, 0, 0),
+    (4, 5, 2, 2, 0),
+    (4, 6, 18, 18, 0),
+]
+
+
+def test_koszul_report_piece_table_at_weight_six():
+    report = koszul_report(weight_cap=6)
+    table = [
+        (p["arity"], p["weight"], p["kernel"], p["image"], p["betti"]) for p in report.pieces
+    ]
+    assert table == KOSZUL_PIECES_W6
+    assert report.koszul_ok
+
+
+def test_koszul_report_detects_a_wrong_last_face(monkeypatch):
+    true_face = homology.face_basis
+
+    def swapped_last_face(i, key):
+        # The last face multiplies its two slots in the wrong order.
+        if i < key.arity - 1:
+            return true_face(i, key)
+        return chain(key.symbol, key.slots[:-2] + (star_basis(key.slots[-1], key.slots[-2]),))
+
+    monkeypatch.setattr(homology, "face_basis", swapped_last_face)
+    report = koszul_report(weight_cap=4)
+    assert report.simplicial_ok is False
+    assert not report.koszul_ok

@@ -10,7 +10,15 @@ import pytest
 
 from dipterous.freealg import DiptBasis, basis_from_str, dipt_basis_of_degree, star_basis, word_str
 from dipterous.homology import ChainKey, QNBasis, SYM_STAR, chain_basis
-from dipterous.trees import LEAF, Forest, PlanarTree, enumerate_forests, parse_forest, parse_tree
+from dipterous.trees import (
+    LEAF,
+    Forest,
+    PlanarTree,
+    enumerate_forests,
+    enumerate_trees,
+    parse_forest,
+    parse_tree,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -58,6 +66,8 @@ def test_degree_is_stored():
         (ChainKey(None, (DiptBasis(Forest((LEAF,)), (0,)),)), "symbol"),
         (QNBasis((0,)), "tag"),
         (DiptBasis(Forest((LEAF,)), (0,)), "text"),
+        (PlanarTree((LEAF, LEAF)), "text"),
+        (Forest((LEAF,)), "text"),
     ],
 )
 def test_setting_an_attribute_raises(key, name):
@@ -80,6 +90,33 @@ def test_dipt_basis_text_is_stored():
     for n in range(1, 6):
         for b in dipt_basis_of_degree(n, 2):
             assert str(b) == f"{b.forest} @ {word_str(b.word)}"
+
+
+def _encode_tree(t: PlanarTree) -> str:
+    if not t.children:
+        return "|"
+    return "(" + " ".join(_encode_tree(c) for c in t.children) + ")"
+
+
+def _encode_forest(f: Forest) -> str:
+    return "[" + " ".join(_encode_tree(t) for t in f.trees) + "]"
+
+
+def test_tree_and_forest_text_is_stored():
+    for n in range(1, 8):
+        for t in enumerate_trees(n):
+            assert str(t) is t.text
+            assert str(t) == _encode_tree(t)
+            assert parse_tree(str(t)) is t
+        for f in enumerate_forests(n):
+            assert str(f) is f.text
+            assert str(f) == _encode_forest(f)
+            assert parse_forest(str(f)) is f
+    # Stored, not a field: copies and pickles still return the interned key.
+    for key in (PlanarTree((LEAF, LEAF)), Forest((LEAF, LEAF))):
+        assert "text" not in type(key)._fields
+        assert copy.copy(key) is key
+        assert pickle.loads(pickle.dumps(key)) is key
 
 
 def test_bad_shapes_raise_the_same_errors():
