@@ -20,6 +20,9 @@ certifies exactness above degree one, i.e. Betti numbers (1, 0, 0, ...)
 in arity 1 and zero in higher arities. Each Betti number is
 dim C - rank(d here) - rank(d one arity up) on a graded piece, with every
 rank taken once per report, from the basis images the d^2 check also uses.
+The faces of each basis chain are likewise computed once per report, into
+a table that the differentials, the d^2 check and the simplicial check
+share and that is freed with the report.
 
 ``koszul_report`` takes only the weight cap of its Betti table and face
 checks. The table's arity cap is ``MAX_ARITY`` (the face checks go one
@@ -211,13 +214,23 @@ def face(i: int, c: LinComb) -> LinComb:
     return c.map_keys(lambda key: face_basis(i, key))
 
 
+def _faces(key: ChainKey) -> tuple[ChainKey, ...]:
+    """All faces of a basis chain, in face order; empty in arity 1."""
+    return tuple(face_basis(i, key) for i in range(1, key.arity))
+
+
+def _alternating_sum(faces: Callable[[ChainKey], tuple[ChainKey, ...]], c: LinComb) -> LinComb:
+    """The differential of c, with each key's faces read from ``faces``."""
+    return LinComb(
+        (f, coeff if i % 2 == 0 else -coeff)
+        for key, coeff in c.items()
+        for i, f in enumerate(faces(key))
+    )
+
+
 def differential(c: LinComb) -> LinComb:
     """Alternating sum of faces; zero on arity-1 chains."""
-    return LinComb(
-        (face_basis(i, key), coeff if i % 2 == 1 else -coeff)
-        for key, coeff in c.items()
-        for i in range(1, key.arity)
-    )
+    return _alternating_sum(_faces, c)
 
 
 def homotopy_basis(key: ChainKey) -> LinComb:
@@ -295,10 +308,28 @@ def koszul_report(
     """Exactness certificate: d^2 = 0, simplicial identities, dh + hd = id,
     and the Betti table on all graded pieces within the caps.
 
+    Each basis chain's faces are computed once, into a table local to the
+    report that the differentials, the d^2 check and the simplicial check
+    all read. Arity-1 chains have no faces and no entry; the arity loop
+    drops entries below arity - 1, which no later piece reads.
+
     ``tamper`` post-processes every differential (test hook for negative
     controls); the identity leaves the certificate intact.
     """
-    d = differential if tamper is None else (lambda c: tamper(differential(c)))
+    table: dict[ChainKey, tuple[ChainKey, ...]] = {}
+
+    def faces(key: ChainKey) -> tuple[ChainKey, ...]:
+        if key.arity == 1:
+            return ()
+        out = table.get(key)
+        if out is None:
+            out = table[key] = _faces(key)
+        return out
+
+    def d(c: LinComb) -> LinComb:
+        image = _alternating_sum(faces, c)
+        return image if tamper is None else tamper(image)
+
     witness = None
 
     # One pass per graded piece: the images of its basis serve the d^2
@@ -309,6 +340,8 @@ def koszul_report(
     square_zero_ok = True
     simplicial_ok = True
     for arity in range(2, MAX_ARITY + 2):
+        for key in [key for key in table if key.arity < arity - 1]:
+            del table[key]
         for weight in range(arity, weight_cap + 1):
             basis = chain_basis(arity, weight)
             images = [d(LinComb.basis(b)) for b in basis]
@@ -318,10 +351,10 @@ def koszul_report(
                     witness = witness or f"d^2 != 0 on {b}"
                 # Faces send basis chains to basis chains, and equal chains
                 # are one interned key.
+                fb = faces(b)
                 for i in range(1, arity):
                     for j in range(i + 1, arity):
-                        lhs = face_basis(i, face_basis(j, b))
-                        if lhs is not face_basis(j - 1, face_basis(i, b)):
+                        if faces(fb[j - 1])[i - 1] is not faces(fb[i - 1])[j - 2]:
                             simplicial_ok = False
                             witness = witness or f"d_{i} d_{j} != d_{j-1} d_{i} on {b}"
             d_rank[arity, weight] = operator_rank(images)

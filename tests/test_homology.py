@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from dipterous import homology
 from dipterous.linalg import LinComb
 from dipterous.freealg import DiptBasis, generator, star_basis
 from dipterous.homology import (
+    HOMOTOPY_WEIGHT_CAP,
     ChainKey,
     KoszulReport,
     QNBasis,
@@ -233,6 +235,10 @@ def test_koszul_report_piece_table():
     assert table == KOSZUL_PIECES_W5
 
 
+def _flags(report: KoszulReport) -> tuple[bool, bool, bool, bool]:
+    return (report.square_zero_ok, report.simplicial_ok, report.homotopy_ok, report.betti_ok)
+
+
 def test_koszul_report_detects_tampered_signs():
     def flip_first_sign(c: LinComb) -> LinComb:
         items = sorted(c.items(), key=lambda kv: str(kv[0]))
@@ -243,8 +249,12 @@ def test_koszul_report_detects_tampered_signs():
 
     report = koszul_report(weight_cap=4, tamper=flip_first_sign)
     assert not report.koszul_ok
-    assert report.witness is not None
-    assert report.witness.startswith("d^2")
+    assert report.witness == "d^2 != 0 on *<[|] @ a ; [|] @ a ; [|] @ a>"
+    assert _flags(report) == (False, True, False, False)
+
+
+def test_koszul_report_identity_tamper_changes_nothing():
+    assert koszul_report(5, tamper=lambda c: c) == koszul_report(5)
 
 
 # (arity, weight, kernel, image, betti) of every piece at weight cap 6.
@@ -279,16 +289,47 @@ def test_koszul_report_piece_table_at_weight_six():
     assert report.koszul_ok
 
 
-def test_koszul_report_detects_a_wrong_last_face(monkeypatch):
-    true_face = homology.face_basis
-
-    def swapped_last_face(i, key):
+def _swapped_last_face(true_face):
+    def face_basis(i, key):
         # The last face multiplies its two slots in the wrong order.
         if i < key.arity - 1:
             return true_face(i, key)
         return chain(key.symbol, key.slots[:-2] + (star_basis(key.slots[-1], key.slots[-2]),))
 
-    monkeypatch.setattr(homology, "face_basis", swapped_last_face)
+    return face_basis
+
+
+def test_koszul_report_detects_a_wrong_last_face(monkeypatch):
+    monkeypatch.setattr(homology, "face_basis", _swapped_last_face(homology.face_basis))
     report = koszul_report(weight_cap=4)
     assert report.simplicial_ok is False
     assert not report.koszul_ok
+    assert report.witness == "d^2 != 0 on *<[(| |)] @ aa ; [|] @ a ; [|] @ a>"
+    assert _flags(report) == (False, False, False, False)
+
+
+def test_koszul_report_faces_do_not_outlive_a_report(monkeypatch):
+    # A face table kept past the first report would hand the true faces
+    # to the second one and hide the wrong last face.
+    assert koszul_report(weight_cap=4).simplicial_ok
+    monkeypatch.setattr(homology, "face_basis", _swapped_last_face(homology.face_basis))
+    assert koszul_report(weight_cap=4).simplicial_ok is False
+
+
+def test_koszul_report_computes_each_face_once(monkeypatch):
+    true_face = homology.face_basis
+    calls = Counter()
+
+    def counting_face(i, key):
+        calls[i, key] += 1
+        return true_face(i, key)
+
+    monkeypatch.setattr(homology, "face_basis", counting_face)
+    assert koszul_report(weight_cap=6).koszul_ok
+    # Only the homotopy check, which runs after the arity loop has dropped
+    # the low arities from the face table, computes a face a second time.
+    repeated = [key for (i, key), n in calls.items() if n > 1]
+    assert max(calls.values()) <= 2
+    assert all(key.weight <= HOMOTOPY_WEIGHT_CAP for key in repeated)
+    assert len(calls) == 1948
+    assert sum(calls.values()) <= 2018
