@@ -173,21 +173,22 @@ def chain(symbol: str | None, slots: Iterable[DiptBasis]) -> ChainKey:
     return ChainKey(symbol, slots)
 
 
-def chain_basis(arity: int, weight: int, num_gens: int = 1) -> list[ChainKey]:
-    """All basis chains of the given arity whose slot degrees sum to weight.
+def chain_basis(arity: int, weight: int) -> list[ChainKey]:
+    """All basis chains of the given arity whose slot degrees sum to weight,
+    over the one-generator basis.
 
     Each order is enumerated and sorted once; every call returns a new list.
     """
-    return list(_chain_basis(arity, weight, num_gens))
+    return list(_chain_basis(arity, weight))
 
 
 @cache
-def _chain_basis(arity: int, weight: int, num_gens: int) -> tuple[ChainKey, ...]:
+def _chain_basis(arity: int, weight: int) -> tuple[ChainKey, ...]:
     if arity < 1 or weight < arity:
         return ()
     if arity == 1:
-        return tuple(ChainKey(None, (b,)) for b in dipt_basis_of_degree(weight, num_gens))
-    basis = cache(lambda degree: dipt_basis_of_degree(degree, num_gens))
+        return tuple(ChainKey(None, (b,)) for b in dipt_basis_of_degree(weight))
+    basis = cache(dipt_basis_of_degree)
     out = [
         ChainKey(sym, slots)
         for degrees in _compositions(weight, arity)

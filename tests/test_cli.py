@@ -101,6 +101,15 @@ def test_antipode_degree_one(capsys):
     assert payload["table"]["[|] @ a"]["S"] == "0 + -[|] @ a"
 
 
+def test_antipode_degree_zero_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["antipode", "0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "degree" in captured.err and "Traceback" not in captured.err
+
+
 def test_antipode_degree_above_cap_is_usage_error(capsys):
     code, _, err = run(capsys, "antipode", "7", "--max-degree", "5")
     assert code == 2
@@ -219,6 +228,7 @@ GRAMMAR = str(ROOT / "scripts" / "data" / "substitution.grammar")
         ["homology", "--t", "1/2"],
         ["verify", "axioms", "--t", "1/2"],
         ["verify", "axioms", "--weight-cap", "3"],
+        ["verify", "coassoc", "--seed", "1"],
         ["antipode", "1", "--t", "1/2"],
         ["antipode", "1", "--weight-cap", "3"],
         ["dynamics", GRAMMAR, "s", "0", "--max-degree", "3"],

@@ -172,7 +172,11 @@ def _cli_stdout(args, hash_seed):
 
 @pytest.mark.parametrize(
     "args",
-    [["homology", "--weight-cap", "5", "--json"], ["antipode", "4", "--max-degree", "4", "--json"]],
+    [
+        ["homology", "--weight-cap", "5", "--json"],
+        ["antipode", "4", "--max-degree", "4", "--json"],
+        ["verify", "coassoc", "--json"],
+    ],
 )
 def test_output_does_not_depend_on_hash_seed(args):
     assert _cli_stdout(args, 1) == _cli_stdout(args, 77)
