@@ -178,9 +178,6 @@ def cmd_antipode(args: argparse.Namespace) -> int:
 
 def cmd_dynamics(args: argparse.Namespace) -> int:
     start, steps = args.start, args.steps
-    if steps < 0:
-        print(f"steps must be >= 0, got {steps}", file=sys.stderr)
-        return 2
     try:
         text = Path(args.grammar).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -218,12 +215,21 @@ def fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
 
 
+def _int_at_least(low: int, text: str) -> int:
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    return value
+
+
 def positive_int(text: str) -> int:
     """argparse type for caps: anything below 1 is a usage error."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+    return _int_at_least(1, text)
+
+
+def nonnegative_int(text: str) -> int:
+    """argparse type for step counts: anything below 0 is a usage error."""
+    return _int_at_least(0, text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("dynamics", cmd_dynamics, "stochastic rewriting from a grammar file")
     p.add_argument("grammar")
     p.add_argument("start")
-    p.add_argument("steps", type=int)
+    p.add_argument("steps", type=nonnegative_int)
     p.add_argument("--free-weights", action="store_true",
                    help="allow non-stochastic rule weights")
 

@@ -146,11 +146,11 @@ def bracket(xs: Sequence[LinComb]) -> LinComb:
     return triangle(xs[0], inner)
 
 
-def mag_tree_to_primitive(t: PlanarTree, gen: int = 0) -> LinComb:
-    """Interpret a planar tree as an iterated bracket of generators."""
+def mag_tree_to_primitive(t: PlanarTree) -> LinComb:
+    """Interpret a planar tree as an iterated bracket of the generator."""
     if t.is_leaf:
-        return gen_elem(gen)
-    return bracket([mag_tree_to_primitive(c, gen) for c in t.children])
+        return gen_elem()
+    return bracket([mag_tree_to_primitive(c) for c in t.children])
 
 
 def mag_bracket_rank(n: int) -> int:

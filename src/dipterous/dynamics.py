@@ -82,8 +82,8 @@ def delta_sharp(tbl: CoopTable, x: WordElement) -> LinComb:
     return LinComb(acc)
 
 
-def word_elem(word: Sequence[str], coeff=1) -> WordElement:
-    return LinComb.basis(tuple(word), coeff)
+def word_elem(word: Sequence[str]) -> WordElement:
+    return LinComb.basis(tuple(word))
 
 
 def mu(te: LinComb) -> WordElement:

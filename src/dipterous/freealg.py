@@ -14,11 +14,15 @@ that single splitting. Variants on binary trees (with the root-gluing
 product) and the mirror-image right-handed structure, plus the
 permutative/NAP pair construction on labeled rooted trees, live here too.
 
-``eval_basis`` evaluates a basis element through that splitting into any
-``AlgebraTarget``: the unique morphism for both operations that sends each
-generator to a given image. Morphic coproducts elsewhere are this
-evaluation into a tensor square. Targets hash by identity, so two targets
-never share cached images.
+``eval_basis`` evaluates a basis key into any ``AlgebraTarget``: the unique
+morphism for both operations that sends each generator to a given image.
+It reads only the key's ``degree``, its ``word`` (for a generator) and its
+``split()``, which returns ``(op, left, right)`` with the tagged product of
+the two halves equal to the key. ``DiptBasis``, the binary-tree
+``LDiptBasis`` and the Koszul dual's ``QNBasis`` all split, so one
+evaluator serves the three free algebras. Morphic coproducts elsewhere are
+this evaluation into a tensor square. Targets hash by identity, so two
+targets never share cached images.
 
 The splitting, the basis enumerations and ``eval_basis`` are computed once
 per argument tuple under ``functools.cache``; ``cache_info``/``cache_clear``
@@ -35,6 +39,7 @@ from typing import Callable, Mapping, Sequence
 from .linalg import LinComb, bilinear
 from .series import catalan_series, large_schroeder, little_schroeder
 from .trees import (
+    BLEAF,
     LEAF,
     BinaryTree,
     Forest,
@@ -97,6 +102,9 @@ class DiptBasis(Interned):
         return self.text
 
     __repr__ = __str__
+
+    def split(self) -> tuple[str, DiptBasis, DiptBasis]:
+        return decompose_basis(self)
 
 
 def generator(i: int = 0) -> DiptBasis:
@@ -221,12 +229,16 @@ class AlgebraTarget:
 
 
 @cache
-def eval_basis(x: DiptBasis, target: AlgebraTarget):
-    """Image of a basis element under the unique two-product morphism into
-    ``target`` that sends each generator to its given image."""
+def eval_basis(x, target: AlgebraTarget):
+    """Image of a basis key under the unique two-product morphism into
+    ``target`` that sends each generator to its given image.
+
+    A degree-1 key is the generator ``word[0]``; any other key recurses
+    through ``x.split()``.
+    """
     if x.degree == 1:
         return target.generators[x.word[0]]
-    op, left, right = decompose_basis(x)
+    op, left, right = x.split()
     fn = target.star if op == OP_STAR else target.succ
     return fn(eval_basis(left, target), eval_basis(right, target))
 
@@ -260,6 +272,19 @@ class LDiptBasis:
     def __str__(self) -> str:
         return f"{self.tree} @ {word_str(self.word)}"
 
+    def split(self) -> tuple[str, LDiptBasis, LDiptBasis]:
+        """(op, left, right) with op's product of the halves equal to self.
+
+        A tree over a right leaf is its left subtree succ its root letter;
+        any other tree is its root over a right leaf, nwarrow its right
+        subtree.
+        """
+        t, p = self.tree, self.tree.left.degree
+        if t.right.is_leaf:
+            return (OP_SUCC, LDiptBasis(t.left, self.word[:p]), ldipt_generator(self.word[p]))
+        head = LDiptBasis(BinaryTree(t.left, BLEAF), self.word[: p + 1])
+        return (OP_STAR, head, LDiptBasis(t.right, self.word[p + 1 :]))
+
 
 def ldipt_generator(i: int = 0) -> LDiptBasis:
     return LDiptBasis(Y1, (i,))
@@ -279,40 +304,10 @@ ldipt_nwarrow = bilinear(ldipt_nwarrow_basis)
 ldipt_succ = bilinear(ldipt_succ_basis)
 
 
-def ldipt_basis_of_degree(n: int, num_gens: int = 1) -> list[LDiptBasis]:
+def ldipt_basis_of_degree(n: int) -> list[LDiptBasis]:
     if n < 1:
         raise ValueError("degree must be >= 1")
-    words = list(product(range(num_gens), repeat=n))
-    out = [LDiptBasis(t, w) for t in enumerate_binary(n) for w in words]
-    return sorted(out, key=str)
-
-
-def ldipt_eval_basis(x: LDiptBasis, target: AlgebraTarget):
-    """Evaluate via t = (t_left succ generator) nwarrow t_right.
-
-    A leaf on the left collapses the succ factor to the generator image; a
-    leaf on the right drops the nwarrow factor.
-    """
-    t = x.tree
-    if t == Y1:
-        return target.generators[x.word[0]]
-    p = t.left.degree
-    gen_image = target.generators[x.word[p]]
-    if t.left.is_leaf:
-        head = gen_image
-    else:
-        head = target.succ(
-            ldipt_eval_basis(LDiptBasis(t.left, x.word[:p]), target), gen_image
-        )
-    if t.right.is_leaf:
-        return head
-    return target.star(
-        head, ldipt_eval_basis(LDiptBasis(t.right, x.word[p + 1 :]), target)
-    )
-
-
-def ldipt_eval_universal(x: LinComb, target: AlgebraTarget):
-    return sum((c * ldipt_eval_basis(key, target) for key, c in x.items()), target.zero)
+    return sorted((LDiptBasis(t, (0,) * n) for t in enumerate_binary(n)), key=str)
 
 
 def ldipt_reflect_tree(t: BinaryTree) -> BinaryTree:

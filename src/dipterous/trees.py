@@ -305,7 +305,7 @@ def enumerate_nap(n: int, labels: tuple[str, ...] = ("v",)) -> tuple[NapTree, ..
     return tuple(sorted(found, key=str))
 
 
-def _nap_multisets(total: int, labels: tuple[str, ...]) -> list[tuple[NapTree, ...]]:
+def _nap_multisets(total: int, labels: tuple[str, ...] = ("v",)) -> list[tuple[NapTree, ...]]:
     """Multisets of labeled trees with degrees summing to ``total``."""
     if total == 0:
         return [()]

@@ -162,21 +162,21 @@ def check_qn_axioms(max_total: int = 5) -> list[Check]:
     )
 
 
-def check_nap_axiom(max_total: int = 6, labels=("v",)) -> list[Check]:
+def check_nap_axiom(max_total: int = 6) -> list[Check]:
     law = lambda x, y, z: (nap_graft(nap_graft(x, y), z), nap_graft(nap_graft(x, z), y))
     return _laws(
-        _degree_tuples(lambda n: enumerate_nap(n, labels), 3, max_total),
+        _degree_tuples(enumerate_nap, 3, max_total),
         [("(x<|y)<|z = (x<|z)<|y", law)],
     )
 
 
-def _perm_nap_elements(n: int, labels=("v",)) -> list[LinComb]:
+def _perm_nap_elements(n: int) -> list[LinComb]:
     """All degree-n pair basis elements, as LinCombs."""
     return [
         LinComb.basis(PermNapBasis(head, tail))
         for h in range(1, n + 1)
-        for head in enumerate_nap(h, labels)
-        for tail in _nap_multisets(n - h, labels)
+        for head in enumerate_nap(h)
+        for tail in _nap_multisets(n - h)
     ]
 
 

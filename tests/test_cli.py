@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import re
@@ -176,10 +177,13 @@ def test_dynamics_non_utf8_grammar_is_usage_error(tmp_path, capsys):
 def test_dynamics_negative_steps_is_usage_error(tmp_path, capsys):
     grammar = tmp_path / "g.grammar"
     grammar.write_text("s -> s s : 1\n")
-    code, out, err = run(capsys, "dynamics", str(grammar), "s", "-3")
-    assert code == 2
-    assert out == ""
-    assert "steps" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["dynamics", str(grammar), "s", "-3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err
+    assert "steps" in captured.err
 
 
 def test_verify_names_a_clamped_cap(capsys):
@@ -297,6 +301,28 @@ def test_dimension_report_rejects_a_degree_below_one():
     err = proc.stderr.decode()
     assert proc.returncode == 2
     assert "--max-degree" in err and "Traceback" not in err
+
+
+def test_size_report_counts_every_module():
+    proc = _run_subprocess([str(ROOT / "scripts" / "size_report.py")], stdout=subprocess.PIPE)
+    assert proc.returncode == 0, proc.stderr.decode()
+    rows = [line.split() for line in proc.stdout.decode().splitlines()[1:]]
+    modules = sorted((ROOT / "src" / "dipterous").glob("*.py"))
+    assert [name for name, _, _ in rows] == [path.name for path in modules] + ["total"]
+    for (_, lines, _), path in zip(rows, modules):
+        assert int(lines) == len(path.read_text().splitlines())
+    *body, (_, total_lines, total_tokens) = rows
+    assert int(total_lines) == sum(int(lines) for _, lines, _ in body)
+    assert int(total_tokens) == sum(int(tokens) for _, _, tokens in body)
+
+
+def test_size_report_skips_comments_docstrings_and_layout():
+    spec = importlib.util.spec_from_file_location("size_report", ROOT / "scripts" / "size_report.py")
+    size_report = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(size_report)
+    text = '"""Module."""\n\n# note\ndef f(x):\n    """Doc."""\n    return "s"  # why\n'
+    # def f ( x ) : return "s"
+    assert size_report.code_tokens(text) == 8
 
 
 def test_run_acceptance_reports_the_one_failing_criterion():

@@ -19,7 +19,6 @@ from dipterous.freealg import (
     gen_elem,
     generator,
     ldipt_basis_of_degree,
-    ldipt_eval_universal,
     ldipt_generator,
     ldipt_nwarrow,
     ldipt_nwarrow_basis,
@@ -35,6 +34,7 @@ from dipterous.freealg import (
     succ_basis,
     word_str,
 )
+from dipterous.homology import qn_basis_of_degree, qn_star, qn_succ
 from dipterous.series import composition_sum
 from dipterous.trees import (
     BLEAF,
@@ -135,24 +135,53 @@ def test_eval_universal_identity():
             assert eval_universal(LinComb.basis(b), target) == LinComb.basis(b)
 
 
+# Each free algebra that ``eval_basis`` evaluates: its basis by degree (over
+# two letters where the model takes an alphabet) and its two products.
+FREE_ALGEBRAS = {
+    "forest": (lambda n: dipt_basis_of_degree(n, num_gens=2), star, succ),
+    "binary tree": (ldipt_basis_of_degree, ldipt_nwarrow, ldipt_succ),
+    "tagged word": (lambda n: qn_basis_of_degree(n, num_gens=2), qn_star, qn_succ),
+}
+
+
+def test_split_halves_rebuild_each_key_through_degree_5():
+    for basis_of_degree, star_op, succ_op in FREE_ALGEBRAS.values():
+        for n in range(2, 6):
+            for b in basis_of_degree(n):
+                op, left, right = b.split()
+                assert left.degree + right.degree == n
+                assert left in basis_of_degree(left.degree)
+                assert right in basis_of_degree(right.degree)
+                product = {OP_STAR: star_op, OP_SUCC: succ_op}[op]
+                assert product(LinComb.basis(left), LinComb.basis(right)) == LinComb.basis(b)
+
+
 def test_eval_basis_keeps_one_memo_per_target():
-    basis = [b for n in range(2, 5) for b in dipt_basis_of_degree(n)]
-    images = {"degree": lambda b: b.degree, "identity": LinComb.basis}
-    for order in (("degree", "identity"), ("identity", "degree")):
-        targets = {
-            "degree": AlgebraTarget(
-                star=lambda a, b: a + b, succ=lambda a, b: a + b, generators={0: 1}, zero=0
-            ),
-            "identity": AlgebraTarget(
-                star=star, succ=succ, generators={0: gen_elem(0)}, zero=LinComb()
-            ),
-        }
-        eval_basis.cache_clear()
-        for name in order:
-            for b in basis:
-                assert eval_basis(b, targets[name]) == images[name](b)
-        # Each target keeps its own entry for every basis key and the generator.
-        assert eval_basis.cache_info().currsize == 2 * (len(basis) + 1)
+    for basis_of_degree, star_op, succ_op in FREE_ALGEBRAS.values():
+        gens = basis_of_degree(1)
+        basis = [b for n in range(2, 5) for b in basis_of_degree(n)]
+        images = {"degree": lambda b: b.degree, "identity": LinComb.basis}
+        for order in (("degree", "identity"), ("identity", "degree")):
+            targets = {
+                "degree": AlgebraTarget(
+                    star=lambda a, b: a + b,
+                    succ=lambda a, b: a + b,
+                    generators={g.word[0]: 1 for g in gens},
+                    zero=0,
+                ),
+                "identity": AlgebraTarget(
+                    star=star_op,
+                    succ=succ_op,
+                    generators={g.word[0]: LinComb.basis(g) for g in gens},
+                    zero=LinComb(),
+                ),
+            }
+            eval_basis.cache_clear()
+            for name in order:
+                for b in basis:
+                    assert eval_basis(b, targets[name]) == images[name](b)
+            # Each target keeps its own entry for every basis key and generator.
+            assert eval_basis.cache_info().currsize == 2 * (len(basis) + len(gens))
 
 
 def test_eval_universal_is_a_morphism_into_binary_trees():
@@ -220,7 +249,7 @@ def test_ldipt_eval_identity():
     )
     for n in range(1, 5):
         for b in ldipt_basis_of_degree(n):
-            assert ldipt_eval_universal(LinComb.basis(b), target) == LinComb.basis(b)
+            assert eval_universal(LinComb.basis(b), target) == LinComb.basis(b)
 
 
 def test_ldipt_eval_morphism_property():
@@ -230,7 +259,7 @@ def test_ldipt_eval_morphism_property():
         generators={0: LinComb.basis(ldipt_generator(0))},
         zero=LinComb(),
     )
-    phi = lambda b: ldipt_eval_universal(LinComb.basis(b), target)
+    phi = lambda b: eval_universal(LinComb.basis(b), target)
     for na in range(1, 4):
         for nb in range(1, 5 - na):
             for a in ldipt_basis_of_degree(na):
