@@ -3,13 +3,12 @@
 The coproduct is defined recursively: it vanishes on generators, and on a
 product it satisfies
 
-    delta(x <> y) = x1 (x) (x2 <> y)  +  (x * y1) (x) y2  +  t * (x (x) y)
+    delta_t(x <> y) = x1 (x) (x2 <> y)  +  (x * y1) (x) y2  +  t * (x (x) y)
 
 for both operations <>, where the middle product is always the associative
-one and Sweedler sums are implied. The deformation weight t defaults to 1.
-Evaluation always runs through the canonical basis splitting; independence
-from the splitting (and coassociativity) are verified by the test suite
-rather than assumed.
+one and Sweedler sums are implied. Evaluation always runs through the
+canonical basis splitting; independence from the splitting (and
+coassociativity) are verified by the test suite rather than assumed.
 
 On top of the coproduct: iterated coproducts and the kernel filtration,
 primitive-space bases, the bracket operations whose iterates realize the
@@ -19,9 +18,9 @@ coalgebra of words, which yields the dimension bookkeeping
 
     forests_n = sum over compositions of products of primitive dims.
 
-The coproduct and the idempotent are cached per (basis key, t) and per
-basis key under ``functools.cache``, so every caller passes t positionally
-to share one entry; ``cache_info``/``cache_clear`` report and free them.
+delta_t = t * delta_1: both vanish on generators, and by induction on degree
+each summand on the right above carries exactly one factor t. So only
+delta_1 is computed, cached per basis key like the idempotent.
 """
 
 from __future__ import annotations
@@ -56,25 +55,24 @@ from .trees import LEAF, Forest, PlanarTree, corolla, enumerate_trees
 
 
 @cache
-def delta_basis(x: DiptBasis, t: Fraction = Fraction(1)) -> LinComb:
+def delta_basis(x: DiptBasis) -> LinComb:
     if x.degree == 1:
         return LinComb()
     op, left, right = decompose_basis(x)
     op_basis = star_basis if op == OP_STAR else succ_basis
     return LinComb(
         chain(
-            (((a, op_basis(b, right)), c) for (a, b), c in delta_basis(left, t).items()),
-            (((star_basis(left, a), b), c) for (a, b), c in delta_basis(right, t).items()),
-            [((left, right), t)],
+            (((a, op_basis(b, right)), c) for (a, b), c in delta_basis(left).items()),
+            (((star_basis(left, a), b), c) for (a, b), c in delta_basis(right).items()),
+            [((left, right), 1)],
         )
     )
 
 
-def delta(x: LinComb, t: Fraction = Fraction(1)) -> LinComb:
-    return linear(lambda key: delta_basis(key, t))(x)
+delta = linear(lambda key: delta_basis(key))
 
 
-def semi_inf_rhs(product, x: LinComb, y: LinComb, t: Fraction = Fraction(1)) -> LinComb:
+def semi_inf_rhs(product, x: LinComb, y: LinComb) -> LinComb:
     """Right side of the defining relation for ``product`` (``star`` or
     ``succ``), computed from delta(x) and delta(y).
 
@@ -82,16 +80,13 @@ def semi_inf_rhs(product, x: LinComb, y: LinComb, t: Fraction = Fraction(1)) -> 
     operations on arbitrary (not just canonical) products.
     """
     acc = []
-    for (a, b), c in delta(x, t).items():
+    for (a, b), c in delta(x).items():
         for k, d in product(LinComb.basis(b), y).items():
             acc.append(((a, k), c * d))
-    for (a, b), c in delta(y, t).items():
+    for (a, b), c in delta(y).items():
         for k, d in star(x, LinComb.basis(a)).items():
             acc.append(((k, b), c * d))
-    if t:
-        for kx, cx in x.items():
-            for ky, cy in y.items():
-                acc.append(((kx, ky), t * cx * cy))
+    acc.extend(tensor_product(x, y).items())
     return LinComb(acc)
 
 
@@ -103,32 +98,33 @@ def iterate(cop_basis, x: LinComb, n: int) -> LinComb:
     return out
 
 
-def delta_iter(x: LinComb, n: int, t: Fraction = Fraction(1)) -> LinComb:
+def delta_iter(x: LinComb, n: int) -> LinComb:
     """Left-iterated coproduct of arity n + 1."""
     if n < 1:
         raise ValueError("iteration count must be >= 1")
-    return iterate(lambda k: delta_basis(k, t), x, n)
+    return iterate(delta_basis, x, n)
 
 
-def _delta_iter_images(r: int, basis: list[DiptBasis], t: Fraction) -> Iterator[LinComb]:
+def _delta_iter_images(r: int, basis: list[DiptBasis]) -> Iterator[LinComb]:
     """Images of the r-fold iterated coproduct on an ordered basis."""
-    return (delta_iter(LinComb.basis(b), r, t) for b in basis)
+    return (delta_iter(LinComb.basis(b), r) for b in basis)
 
 
 def filtration_dim(r: int, n: int, t: Fraction = Fraction(1)) -> int:
-    """Dimension of the r-th filtration step within degree n."""
+    """Dimension of the r-th filtration step of delta_t within degree n. The
+    iterates of delta_t = t * delta_1 lose no rank unless t = 0."""
     if r < 1 or n < 1:
         raise ValueError("filtration level and degree must be >= 1")
     basis = dipt_basis_of_degree(n)
-    if r >= n:
+    if r >= n or t == 0:
         return len(basis)
-    return len(basis) - operator_rank(_delta_iter_images(r, basis, t))
+    return len(basis) - operator_rank(_delta_iter_images(r, basis))
 
 
-def prim_basis(n: int, t: Fraction = Fraction(1)) -> list[LinComb]:
+def prim_basis(n: int) -> list[LinComb]:
     """Echelon basis of the coproduct kernel on the degree-n component."""
     basis = dipt_basis_of_degree(n)
-    return kernel_of_operator(basis, _delta_iter_images(1, basis, t))
+    return kernel_of_operator(basis, _delta_iter_images(1, basis))
 
 
 def triangle(x: LinComb, y: LinComb) -> LinComb:
@@ -183,7 +179,7 @@ def e_idempotent(x: LinComb) -> LinComb:
 @cache
 def _e_basis(x: DiptBasis) -> LinComb:
     acc = [(x, 1)]
-    for (a, b), c in delta_basis(x, 1).items():
+    for (a, b), c in delta_basis(x).items():
         acc.extend((star_basis(a, k), -c * d) for k, d in _e_basis(b).items())
     return LinComb(acc)
 
@@ -223,7 +219,7 @@ def phi_corestrict(x: LinComb) -> LinComb:
     The image of a degree-n element is a combination of length-n words.
     Satisfies phi(s_section(w)) = w.
     """
-    return corestrict(lambda k: delta_basis(k, Fraction(1)), x)
+    return corestrict(delta_basis, x)
 
 
 def phi_tensor(te: LinComb) -> LinComb:
@@ -246,11 +242,11 @@ class PbwReport:
         return self.forest_dims == self.composed
 
 
-def pbw_dim_check(max_n: int, t: Fraction = Fraction(1)) -> PbwReport:
+def pbw_dim_check(max_n: int) -> PbwReport:
     """Forest dims must equal composition sums of computed primitive dims."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    prim = [filtration_dim(1, n, t) for n in range(1, max_n + 1)]
+    prim = [filtration_dim(1, n) for n in range(1, max_n + 1)]
     forests = [len(dipt_basis_of_degree(n)) for n in range(1, max_n + 1)]
     composed = [composition_sum(prim, n) for n in range(1, max_n + 1)]
     return PbwReport(tuple(forests), tuple(prim), tuple(composed))

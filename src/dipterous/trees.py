@@ -294,9 +294,13 @@ def nap_graft(t: NapTree, s: NapTree) -> NapTree:
     return NapTree(t.label, t.children + (s,))
 
 
-@cache
 def enumerate_nap(n: int, labels: tuple[str, ...] = ("v",)) -> tuple[NapTree, ...]:
     """All labeled rooted trees with n nodes over the label alphabet."""
+    return _enumerate_nap(n, labels)
+
+
+@cache
+def _enumerate_nap(n: int, labels: tuple[str, ...]) -> tuple[NapTree, ...]:
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
     found = {
@@ -311,7 +315,7 @@ def _nap_multisets(total: int, labels: tuple[str, ...] = ("v",)) -> list[tuple[N
         return [()]
     pool: list[NapTree] = []
     for d in range(1, total + 1):
-        pool.extend(enumerate_nap(d, labels))
+        pool.extend(_enumerate_nap(d, labels))
 
     def rec(rest: int, start: int) -> list[tuple[NapTree, ...]]:
         if rest == 0:

@@ -218,8 +218,8 @@ def _coassoc_sides(te: LinComb, cop_basis) -> tuple[LinComb, LinComb]:
 
 
 def delta_coassoc_witness(max_degree: int, t: Fraction) -> str | None:
-    cop = lambda k: delta_basis(k, t)
-    w = _first_basis_failure(max_degree, lambda b: _coassoc_sides(delta(LinComb.basis(b), t), cop))
+    cop = lambda k: t * delta_basis(k)
+    w = _first_basis_failure(max_degree, lambda b: _coassoc_sides(t * delta(LinComb.basis(b)), cop))
     return w and f"t={t}: {w}"
 
 
@@ -227,7 +227,7 @@ def delta_nondegenerate_witness(ts) -> str | None:
     """Delta_t must not vanish on all of degree 2 for each t; at t = 0 it
     does, so the coassociativity check there holds vacuously."""
     for t in ts:
-        if not any(delta_basis(b, t) for b in dipt_basis_of_degree(2)):
+        if not any(t * delta_basis(b) for b in dipt_basis_of_degree(2)):
             return f"t={t}: delta vanishes on degree 2"
     return None
 

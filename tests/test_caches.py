@@ -3,14 +3,14 @@ cache state, and each cache keeps one entry per argument tuple."""
 
 from fractions import Fraction
 
-from dipterous import bialgebras, coproducts, freealg, homology, trees
+from dipterous import bialgebras, coproducts, freealg, homology, trees, verify
 from dipterous.linalg import LinComb
 
 CACHES = (
     trees.enumerate_trees,
     trees.enumerate_forests,
     trees.enumerate_binary,
-    trees.enumerate_nap,
+    trees._enumerate_nap,
     freealg.decompose_basis,
     freealg._dipt_basis,
     freealg.eval_basis,
@@ -46,8 +46,7 @@ def images(order) -> dict:
             for arity in range(1, 4)
             for weight in range(arity, MAX_DEGREE + 1)
         ],
-        "delta 1/2": lambda: [coproducts.delta_basis(b, Fraction(1, 2)) for b in basis_up_to(MAX_DEGREE)],
-        "delta 1": lambda: [coproducts.delta_basis(b, Fraction(1)) for b in basis_up_to(MAX_DEGREE)],
+        "delta": lambda: [coproducts.delta_basis(b) for b in basis_up_to(MAX_DEGREE)],
         "e": lambda: [coproducts.e_idempotent(x) for x in elems()],
         "S": lambda: [bialgebras.antipode_S(x) for x in elems()],
         "Sprime": lambda: [bialgebras.antipode_Sprime(x) for x in elems()],
@@ -69,7 +68,7 @@ def test_every_cache_is_listed():
 
 def test_values_do_not_depend_on_cache_state():
     order = [
-        "S", "Sprime", "delta 1/2", "delta 1", "e", "vartriangle",
+        "S", "Sprime", "delta", "e", "vartriangle",
         "chains", "nap", "binary", "forests", "trees",
     ]
     clear_caches()
@@ -85,5 +84,23 @@ def test_delta_keeps_one_entry_per_key_and_t():
     for b in basis:
         coproducts.e_idempotent(LinComb.basis(b))
     # Both recursions stay inside the degree <= 4 basis, and each of its
-    # keys is an input, so every key is visited at t = 1 and only there.
+    # keys is an input, so every key is visited once.
     assert coproducts.delta_basis.cache_info().currsize == len(set(basis))
+
+
+def test_delta_keeps_one_entry_per_key_whatever_t():
+    clear_caches()
+    for t in (Fraction(1), Fraction(1, 2)):
+        for n in range(1, 7):
+            coproducts.filtration_dim(1, n, t)
+    # The forests of degree <= 6; a cache keyed by t as well would hold 1030.
+    assert coproducts.delta_basis.cache_info().currsize == 515
+
+
+def test_nap_trees_keep_one_entry_per_degree_and_alphabet():
+    clear_caches()
+    verify.check_nap_axiom(6)
+    verify.check_perm_nap_axioms(5)
+    # Both checks reach degrees 1..4 over the one-letter alphabet, whether
+    # they pass it or not.
+    assert trees._enumerate_nap.cache_info().currsize == 4

@@ -65,6 +65,15 @@ def test_prim_semiinf_at_t_zero_counts_forests(capsys):
     }
 
 
+@pytest.mark.parametrize("output", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("t", ["1/2", "-3/7"])
+def test_prim_semiinf_at_nonzero_t_matches_t_one(capsys, t, output):
+    # Delta_t = t * Delta_1 has the kernel of Delta_1 for every t != 0.
+    argv = ["prim", "semiinf", "--max-degree", "6", *output]
+    code, out, _ = run(capsys, *argv, f"--t={t}")
+    assert (code, out) == run(capsys, *argv, "--t", "1")[:2]
+
+
 def test_prim_hopf_against_oracle(capsys):
     code, out, _ = run(capsys, "prim", "hopf", "--max-degree", "3", "--json")
     assert code == 0
@@ -323,6 +332,18 @@ def test_size_report_skips_comments_docstrings_and_layout():
     text = '"""Module."""\n\n# note\ndef f(x):\n    """Doc."""\n    return "s"  # why\n'
     # def f ( x ) : return "s"
     assert size_report.code_tokens(text) == 8
+
+
+def test_cli_digest_line_hashes_the_outputs_of_one_run(capsys):
+    spec = importlib.util.spec_from_file_location("cli_digest", ROOT / "scripts" / "cli_digest.py")
+    cli_digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli_digest)
+    argv = ["dims", "dipt", "--max-degree", "3"]
+    line = cli_digest.digest(argv)
+    assert re.fullmatch(r"0 [0-9a-f]{64} [0-9a-f]{64} dims dipt --max-degree 3", line)
+    code, out, err = run(capsys, *argv)
+    sha = cli_digest.sha256
+    assert line == f"{code} {sha(out.encode())} {sha(err.encode())} dims dipt --max-degree 3"
 
 
 def test_run_acceptance_reports_the_one_failing_criterion():

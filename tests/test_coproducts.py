@@ -1,10 +1,11 @@
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dipterous.linalg import LinComb
+from dipterous.linalg import LinComb, kernel_of_operator
 from dipterous.coproducts import (
     asc_deconcat,
     bracket,
@@ -24,11 +25,15 @@ from dipterous.coproducts import (
     triangle,
 )
 from dipterous.freealg import (
+    OP_STAR,
     DiptBasis,
+    decompose_basis,
     dipt_basis_of_degree,
     gen_elem,
     star,
+    star_basis,
     succ,
+    succ_basis,
 )
 from dipterous.series import little_schroeder
 from dipterous.trees import enumerate_trees, parse_forest
@@ -37,6 +42,21 @@ from dipterous.verify import delta_coassoc_witness, delta_compatibility_witness
 
 def be(forest_text: str, word: str) -> DiptBasis:
     return DiptBasis(parse_forest(forest_text), tuple(ord(c) - ord("a") for c in word))
+
+
+def _delta_t_reference(x: DiptBasis, t) -> LinComb:
+    """Delta_t by its defining recursion, carrying t through every level."""
+    if x.degree == 1:
+        return LinComb()
+    op, left, right = decompose_basis(x)
+    op_basis = star_basis if op == OP_STAR else succ_basis
+    return LinComb(
+        chain(
+            (((a, op_basis(b, right)), c) for (a, b), c in _delta_t_reference(left, t).items()),
+            (((star_basis(left, a), b), c) for (a, b), c in _delta_t_reference(right, t).items()),
+            [((left, right), t)],
+        )
+    )
 
 
 V = gen_elem(0)
@@ -89,9 +109,10 @@ def test_delta_compatible_exhaustive_low_degree():
 
 
 def test_delta_parameter_scales_top_term():
-    tree = LinComb.basis(be("[(| |)]", "ab"))
-    te = delta(tree, Fraction(2))
+    key = be("[(| |)]", "ab")
+    te = _delta_t_reference(key, Fraction(2))
     assert te.coeff((be("[|]", "a"), be("[|]", "b"))) == 2
+    assert te == 2 * delta(LinComb.basis(key))
 
 
 def test_filtration_examples():
@@ -115,7 +136,7 @@ def test_prim_dims_match_tree_counts():
 @pytest.mark.parametrize("t", [Fraction(1), Fraction(1, 2)])
 def test_filtration_dim_counts_prim_basis(t):
     for n in range(1, 7):
-        assert filtration_dim(1, n, t) == len(prim_basis(n, t))
+        assert filtration_dim(1, n, t) == len(prim_basis(n))
 
 
 def test_half_t_primitives_equal_t_one():
@@ -124,15 +145,17 @@ def test_half_t_primitives_equal_t_one():
     half, one = Fraction(1, 2), Fraction(1)
     for n in range(1, 7):
         assert filtration_dim(1, n, half) == filtration_dim(1, n, one)
-        assert prim_basis(n, half) == prim_basis(n, one)
+        basis = dipt_basis_of_degree(n)
+        half_images = (_delta_t_reference(b, half) for b in basis)
+        assert kernel_of_operator(basis, half_images) == prim_basis(n)
 
 
 def test_delta_scales_linearly_in_t():
     # Delta_t = t * Delta_1: every summand of the recursion carries one t.
     for n in range(1, 6):
         for b in dipt_basis_of_degree(n):
-            for t in (Fraction(0), Fraction(2), Fraction(-3, 7)):
-                assert delta_basis(b, t) == t * delta_basis(b)
+            for t in (Fraction(0), Fraction(1), Fraction(2), Fraction(-3, 7)):
+                assert _delta_t_reference(b, t) == t * delta_basis(b)
 
 
 def test_tensor_repr_prints_basis_text():

@@ -53,7 +53,7 @@ def test_coassoc_suite_checks_delta_is_not_zero():
 
 
 def test_nondegeneracy_check_fails_on_a_zero_coproduct(monkeypatch):
-    monkeypatch.setattr(verify, "delta_basis", lambda b, t: LinComb())
+    monkeypatch.setattr(verify, "delta_basis", lambda b: LinComb())
     checks = {c.name: c for c in coassoc_suite(2)}
     check = checks["delta nonzero on degree 2 (t=1, t=2)"]
     assert not check.ok
@@ -98,7 +98,7 @@ def test_compatibility_scan_reports_the_first_failing_pair(monkeypatch):
 
 def test_coassociativity_witness_names_t_and_the_first_failing_element(monkeypatch):
     delta_basis = coproducts.delta_basis
-    flipped = lambda key, t: delta_basis(key, t).map_keys(lambda pair: pair[::-1])
+    flipped = lambda key: delta_basis(key).map_keys(lambda pair: pair[::-1])
     monkeypatch.setattr(verify, "delta_basis", flipped)
     assert verify.delta_coassoc_witness(4, Fraction(1)) == "t=1: [((| (| |)) |)] @ aaaa"
     # Delta_0 vanishes, so nothing can fail at t = 0.
