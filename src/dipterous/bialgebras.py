@@ -26,6 +26,11 @@ a morphism and has its own recursion over the canonical basis splitting.
 Each coproduct has an antipode-style convolution inverse computed by degree
 recursion. Both recursions are cached per argument tuple under
 ``functools.cache``; the antipode's key includes the coproduct it inverts.
+
+The slot products are two more caches: ``_u_star`` and ``_u_succ`` hold the
+product of each pair of unit-extension keys they have seen. The antipode
+recursion, the tensor products behind both coproducts and ``convolve`` all
+multiply keys through them, so a pair's product is built once per process.
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ from .trees import LEAF, Forest
 UNIT = "1"
 
 
+@cache
 def _u_star(k1, k2):
     if k1 == UNIT:
         return k2
@@ -69,6 +75,7 @@ def _u_star(k1, k2):
     return star_basis(k1, k2)
 
 
+@cache
 def _u_succ(k1, k2, doubly_unital=None):
     """Slot-level >: returns the key, None when annihilated, or the supplied
     resolution for the 1 > 1 case (raising when there is none)."""
@@ -215,7 +222,7 @@ def prim_2as(n: int) -> tuple[int, list[LinComb]]:
 @cache
 def _antipode_basis(key: DiptBasis, cop_basis) -> LinComb:
     terms = (
-        (star_basis(k, b), -c * d)
+        (_u_star(k, b), -c * d)
         for (a, b), c in reduced_basis(cop_basis, key).items()
         for k, d in _antipode_basis(a, cop_basis).items()
     )

@@ -9,7 +9,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,7 +40,9 @@ from .verify import (
 )
 
 
-def _emit(as_json: bool, payload: dict, text_lines: list[str]) -> None:
+def _emit(as_json: bool, payload: dict, text_lines: Iterable[str]) -> None:
+    """Print the payload as JSON, or else the text lines, which are read
+    only here, so a command may pass a generator that builds them lazily."""
     try:
         if as_json:
             print(json.dumps(payload, indent=2, sort_keys=True))
@@ -162,18 +166,21 @@ def cmd_antipode(args: argparse.Namespace) -> int:
         return 2
     table = antipode_table(degree)
     witness = antipode_witness(degree)
-    lines = []
-    for key, images in table.items():
-        lines.append(f"{key}")
-        lines.append(f"  S : {images['S']}")
-        lines.append(f"  S': {images['Sprime']}")
-    lines.append(f"identities_ok={str(witness is None).lower()}")
     payload = {"degree": degree, "table": table, "identities_ok": witness is None}
     if witness:
         payload["witness"] = witness
-        lines.append(f"witness: {witness}")
-    _emit(args.json, payload, lines)
+    _emit(args.json, payload, _antipode_lines(table, witness))
     return 0 if witness is None else 1
+
+
+def _antipode_lines(table: dict, witness: str | None) -> Iterable[str]:
+    for key, images in table.items():
+        yield key
+        yield f"  S : {images['S']}"
+        yield f"  S': {images['Sprime']}"
+    yield f"identities_ok={str(witness is None).lower()}"
+    if witness:
+        yield f"witness: {witness}"
 
 
 def cmd_dynamics(args: argparse.Namespace) -> int:
@@ -280,8 +287,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# A value argparse would take for an option: a minus sign, then a digit or
+# a point. Its negative-number test accepts only decimals, not "-3/7".
+_NEGATIVE = re.compile(r"-\.?\d")
+
+
+def _attach_negative_t(argv: list[str]) -> list[str]:
+    """Rewrite ``--t -3/7`` as ``--t=-3/7``, the one spelling argparse parses."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--t" and _NEGATIVE.match(arg):
+            out[-1] = f"--t={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_negative_t(argv))
     return args.run(args)
 
 

@@ -81,7 +81,11 @@ class LinComb:
 
     @classmethod
     def basis(cls, key, coeff: Scalar = 1) -> "LinComb":
-        return cls({key: coeff})
+        if type(coeff) is not int:
+            coeff = as_scalar(coeff)
+        res = cls.__new__(cls)
+        res.terms = {key: coeff} if coeff else {}
+        return res
 
     def coeff(self, key) -> Scalar:
         return self.terms.get(key, 0)

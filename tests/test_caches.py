@@ -18,6 +18,8 @@ CACHES = (
     coproducts._e_basis,
     bialgebras.vartriangle_basis,
     bialgebras._antipode_basis,
+    bialgebras._u_star,
+    bialgebras._u_succ,
     homology._chain_basis,
 )
 
@@ -31,6 +33,13 @@ def clear_caches() -> None:
 
 def basis_up_to(n: int) -> list:
     return [b for d in range(1, n + 1) for b in freealg.dipt_basis_of_degree(d)]
+
+
+def unit_pairs(n: int) -> list:
+    """Every pair of unit-extension keys of total degree <= n; the unit has
+    degree 0."""
+    keys = [(0, bialgebras.UNIT)] + [(b.degree, b) for b in basis_up_to(n)]
+    return [(a, b) for i, a in keys for j, b in keys if i + j <= n]
 
 
 def images(order) -> dict:
@@ -51,6 +60,10 @@ def images(order) -> dict:
         "S": lambda: [bialgebras.antipode_S(x) for x in elems()],
         "Sprime": lambda: [bialgebras.antipode_Sprime(x) for x in elems()],
         "vartriangle": lambda: [bialgebras.vartriangle_basis(b) for b in basis_up_to(MAX_DEGREE)],
+        "u_star": lambda: [bialgebras._u_star(a, b) for a, b in unit_pairs(MAX_DEGREE)],
+        "u_succ": lambda: [
+            bialgebras._u_succ(a, b, doubly_unital=bialgebras.UNIT) for a, b in unit_pairs(MAX_DEGREE)
+        ],
     }
     assert set(order) == set(steps)
     return {name: steps[name]() for name in order}
@@ -68,7 +81,7 @@ def test_every_cache_is_listed():
 
 def test_values_do_not_depend_on_cache_state():
     order = [
-        "S", "Sprime", "delta", "e", "vartriangle",
+        "S", "Sprime", "u_star", "delta", "e", "vartriangle", "u_succ",
         "chains", "nap", "binary", "forests", "trees",
     ]
     clear_caches()
@@ -104,3 +117,23 @@ def test_nap_trees_keep_one_entry_per_degree_and_alphabet():
     # Both checks reach degrees 1..4 over the one-letter alphabet, whether
     # they pass it or not.
     assert trees._enumerate_nap.cache_info().currsize == 4
+
+
+def test_antipode_products_keep_one_entry_per_key_pair():
+    clear_caches()
+    bialgebras.antipode_table(4)
+    verify.antipode_witness(4)
+    unit = bialgebras.UNIT
+    keys = basis_up_to(4)
+    # The non-unit entries are the 21 pairs of total degree <= 4
+    # (sum over i + j <= 4 of F_i * F_j, F = 1, 2, 6); the unit entries are
+    # the unit times each key on either side, and the unit times itself.
+    body = [(a, b) for a in keys for b in keys if a.degree + b.degree <= 4]
+    with_unit = [(unit, unit)] + [(unit, k) for k in keys] + [(k, unit) for k in keys]
+    assert len(body) == 21
+    info = bialgebras._u_star.cache_info()
+    assert info.currsize == len(body) + len(with_unit) == 84
+    for a, b in body + with_unit:
+        bialgebras._u_star(a, b)
+    # Every probe is a hit, so the table holds exactly these pairs.
+    assert bialgebras._u_star.cache_info().misses == info.misses

@@ -74,6 +74,14 @@ def test_prim_semiinf_at_nonzero_t_matches_t_one(capsys, t, output):
     assert (code, out) == run(capsys, *argv, "--t", "1")[:2]
 
 
+@pytest.mark.parametrize("output", [[], ["--json"]], ids=["text", "json"])
+def test_negative_t_may_follow_a_space(capsys, output):
+    argv = ["prim", "semiinf", "--max-degree", "5", *output]
+    spaced = run(capsys, *argv, "--t", "-3/7")
+    assert spaced == run(capsys, *argv, "--t=-3/7")
+    assert spaced[0] == 0
+
+
 def test_prim_hopf_against_oracle(capsys):
     code, out, _ = run(capsys, "prim", "hopf", "--max-degree", "3", "--json")
     assert code == 0

@@ -66,6 +66,13 @@ def test_lc_scale_distributes(s, a, b):
     assert s * (a + b) == s * a + s * b
 
 
+def test_basis_stores_an_exact_scalar_and_no_zero():
+    assert LinComb.basis("k", 0).is_zero()
+    two = LinComb.basis("k", Fraction(4, 2)).terms["k"]
+    assert (two, type(two)) == (2, int)
+    assert LinComb.basis("k", Fraction(1, 2)).terms == {"k": Fraction(1, 2)}
+
+
 def test_no_zero_coefficients_stored():
     assert LinComb({"k1": 0, "k2": 1}).terms == {"k2": Fraction(1)}
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 from dipterous import bialgebras, coproducts, verify
 from dipterous.bialgebras import blacktriangle_basis, vartriangle_basis
+from dipterous.freealg import dipt_basis_of_degree, eval_basis, succ_basis
 from dipterous.linalg import LinComb
 from dipterous.trees import nap_graft
 from dipterous.verify import (
@@ -129,6 +130,27 @@ def test_antipode_witness_names_the_antipode_that_fails(monkeypatch):
     assert verify.antipode_witness(4) == "S: [| |] @ aa"
     monkeypatch.setattr(bialgebras, "antipode_S", lambda x: 2 * S(x))
     assert verify.antipode_witness(4) == "S on the unit"
+
+
+def test_antipode_witness_sees_a_wrong_shared_product(monkeypatch):
+    # The recursion and the convolution check multiply through one table;
+    # a product that is wrong in that table must still show up in the check.
+    g = dipt_basis_of_degree(1)[0]
+    u_star = bialgebras._u_star
+
+    def wrong_square(k1, k2):
+        return succ_basis(g, g) if (k1, k2) == (g, g) else u_star(k1, k2)
+
+    def clear_caches():
+        for fn in (u_star, bialgebras._antipode_basis, bialgebras.vartriangle_basis, eval_basis):
+            fn.cache_clear()
+
+    monkeypatch.setattr(bialgebras, "_u_star", wrong_square)
+    clear_caches()
+    try:
+        assert verify.antipode_witness(4) == "S: [| |] @ aa"
+    finally:
+        clear_caches()
 
 
 def _imported_modules(path):
