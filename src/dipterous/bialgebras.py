@@ -27,10 +27,12 @@ Each coproduct has an antipode-style convolution inverse computed by degree
 recursion. Both recursions are cached per argument tuple under
 ``functools.cache``; the antipode's key includes the coproduct it inverts.
 
-The slot products are two more caches: ``_u_star`` and ``_u_succ`` hold the
-product of each pair of unit-extension keys they have seen. The antipode
-recursion, the tensor products behind both coproducts and ``convolve`` all
-multiply keys through them, so a pair's product is built once per process.
+The slot product ``_u_star`` is one more cache: it holds the product of each
+pair of unit-extension keys it has seen. The antipode recursion, the tensor
+products behind both coproducts and ``convolve`` all multiply keys through
+it, so a pair's product is built once per process. ``_u_succ`` stays
+uncached: it is called far less often, from under images that are
+already cached per key.
 """
 
 from __future__ import annotations
@@ -75,7 +77,6 @@ def _u_star(k1, k2):
     return star_basis(k1, k2)
 
 
-@cache
 def _u_succ(k1, k2, doubly_unital=None):
     """Slot-level >: returns the key, None when annihilated, or the supplied
     resolution for the 1 > 1 case (raising when there is none)."""

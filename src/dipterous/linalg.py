@@ -81,11 +81,7 @@ class LinComb:
 
     @classmethod
     def basis(cls, key, coeff: Scalar = 1) -> "LinComb":
-        if type(coeff) is not int:
-            coeff = as_scalar(coeff)
-        res = cls.__new__(cls)
-        res.terms = {key: coeff} if coeff else {}
-        return res
+        return cls({key: coeff})
 
     def coeff(self, key) -> Scalar:
         return self.terms.get(key, 0)

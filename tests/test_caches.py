@@ -19,7 +19,6 @@ CACHES = (
     bialgebras.vartriangle_basis,
     bialgebras._antipode_basis,
     bialgebras._u_star,
-    bialgebras._u_succ,
     homology._chain_basis,
 )
 
@@ -61,9 +60,6 @@ def images(order) -> dict:
         "Sprime": lambda: [bialgebras.antipode_Sprime(x) for x in elems()],
         "vartriangle": lambda: [bialgebras.vartriangle_basis(b) for b in basis_up_to(MAX_DEGREE)],
         "u_star": lambda: [bialgebras._u_star(a, b) for a, b in unit_pairs(MAX_DEGREE)],
-        "u_succ": lambda: [
-            bialgebras._u_succ(a, b, doubly_unital=bialgebras.UNIT) for a, b in unit_pairs(MAX_DEGREE)
-        ],
     }
     assert set(order) == set(steps)
     return {name: steps[name]() for name in order}
@@ -81,7 +77,7 @@ def test_every_cache_is_listed():
 
 def test_values_do_not_depend_on_cache_state():
     order = [
-        "S", "Sprime", "u_star", "delta", "e", "vartriangle", "u_succ",
+        "S", "Sprime", "u_star", "delta", "e", "vartriangle",
         "chains", "nap", "binary", "forests", "trees",
     ]
     clear_caches()
