@@ -12,6 +12,13 @@ unit pivots never builds a ``Fraction``. Ranks come from the forward
 echelon form; kernels from the reduced row echelon form, which is unique
 and hence reproducible.
 
+The caller of the elimination picks the column order. ``rank`` takes a
+matrix as sparse rows over any column keys and numbers the sparsest
+columns first; ``operator_rank`` passes an operator's images as those
+rows, since a matrix and its transpose have the same rank, so no matrix
+is assembled. A kernel is read off in basis order, so
+``kernel_of_operator`` assembles the matrix whose columns are the images.
+
 ``LinComb`` is the only element type. A tensor is a LinComb whose keys are
 tuples of basis keys (the arity of a term is the length of its key), and
 an element of a unit extension is a LinComb with a key for the unit.
@@ -24,6 +31,7 @@ itself instead of a copy.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -114,7 +122,16 @@ class LinComb:
         return res
 
     def __sub__(self, other: "LinComb") -> "LinComb":
-        return self + (-1) * other
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            acc = out.get(k, 0) - c
+            if acc:
+                out[k] = acc if type(acc) is int else as_scalar(acc)
+            else:
+                out.pop(k, None)
+        res = LinComb.__new__(LinComb)
+        res.terms = out
+        return res
 
     def __neg__(self) -> "LinComb":
         return (-1) * self
@@ -267,7 +284,9 @@ def _echelon(rows: list[dict[int, Scalar]], ncols: int) -> tuple[list[dict[int, 
     the candidate rows of each column. The pivot is a candidate with a +-1
     entry, fewest nonzeros first; elimination runs below the pivot only.
     Each pivot row is scaled to 1 at its pivot, and the pivot columns come
-    in increasing order.
+    in increasing order. Columns are eliminated in index order, so the
+    caller's numbering is the column order: ``rank`` puts the sparsest
+    columns first, and ``kernel_basis`` keeps the basis order.
     """
     index: list[list[int]] = [[] for _ in range(ncols)]
     for i, row in enumerate(rows):
@@ -315,9 +334,21 @@ def _echelon(rows: list[dict[int, Scalar]], ncols: int) -> tuple[list[dict[int, 
     return pivot_rows, pivot_cols
 
 
-def rank(m: SparseMatrix) -> int:
-    """Exact rank over the rationals."""
-    _, pivots = _echelon(m.row_dicts(), m.ncols)
+def rank(rows: Iterable[Mapping]) -> int:
+    """Exact rank over the rationals of a matrix given by its sparse rows.
+
+    Each row maps hashable column keys to ``int`` or ``Fraction`` entries;
+    zero entries are skipped. The input is left unchanged: the columns are
+    renumbered into fresh row dicts, fewest nonzeros first (ties in order
+    of first appearance), so the sparsest columns are eliminated first and
+    fill-in stays low (the Markowitz heuristic, restricted to columns).
+    """
+    rows = list(rows)
+    count = Counter(k for row in rows for k in row)
+    col = {k: j for j, k in enumerate(sorted(count, key=count.__getitem__))}
+    fresh = [{col[k]: c for k, c in row.items() if c} for row in rows]
+    del rows  # a generator's rows are not held during elimination
+    _, pivots = _echelon(fresh, len(col))
     return len(pivots)
 
 
@@ -394,21 +425,20 @@ def matrix_of_images(images: Sequence[LinComb]) -> tuple[SparseMatrix, list]:
     return SparseMatrix(len(row_keys), len(images), entries), row_keys
 
 
-def _eliminate(solve, images: Iterable[LinComb]):
-    """Assemble the matrix of an operator from its images and hand it to ``solve``.
+def operator_rank(images: Iterable[LinComb]) -> int:
+    """Rank of an operator given by the images of an ordered basis.
+
+    The images are the rows of the transposed matrix, whose rank is the
+    same, so no matrix is assembled.
+    """
+    return rank(img.terms for img in images)
+
+
+def kernel_of_operator(basis: Sequence, images: Iterable[LinComb]) -> list[LinComb]:
+    """Kernel of an operator given on an ordered basis, re-keyed to that basis.
 
     The images are released before elimination starts, so a caller that
     passes a generator never holds them during it.
     """
     matrix, _ = matrix_of_images(list(images))
-    return solve(matrix)
-
-
-def operator_rank(images: Iterable[LinComb]) -> int:
-    """Rank of an operator given by the images of an ordered basis."""
-    return _eliminate(rank, images)
-
-
-def kernel_of_operator(basis: Sequence, images: Iterable[LinComb]) -> list[LinComb]:
-    """Kernel of an operator given on an ordered basis, re-keyed to that basis."""
-    return [vec.map_keys(basis.__getitem__) for vec in _eliminate(kernel_basis, images)]
+    return [vec.map_keys(basis.__getitem__) for vec in kernel_basis(matrix)]

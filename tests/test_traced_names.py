@@ -10,7 +10,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from dipterous import verify
+from dipterous import linalg, verify
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -59,3 +59,18 @@ def test_verify_defines_the_traced_checks():
         "unit_law_witness",
         "unital_coassoc_witness",
     }
+
+
+def test_operator_rank_calls_rank_through_the_module_attribute(monkeypatch):
+    # The tracer rebinds ``linalg.rank``; operator_rank must reach the
+    # rebound function, or its ranks drop out of ``linalg.rank_sum``.
+    seen = []
+
+    def traced_rank(rows):
+        seen.append([dict(row) for row in rows])
+        return -1
+
+    monkeypatch.setattr(linalg, "rank", traced_rank)
+    images = [linalg.LinComb({"u": 1, "v": 2}), linalg.LinComb({"v": -1})]
+    assert linalg.operator_rank(iter(images)) == -1
+    assert seen == [[{"u": 1, "v": 2}, {"v": -1}]]
