@@ -326,17 +326,6 @@ def test_lincomb_arithmetic_keeps_exact_scalars(a, b, s):
         assert all(is_exact(c) for c in out.terms.values())
 
 
-@given(
-    st.dictionaries(st.sampled_from("pqrst"), mixed_scalars, max_size=5).map(LinComb),
-    st.dictionaries(st.sampled_from("pqrst"), mixed_scalars, max_size=5).map(LinComb),
-)
-def test_lc_sub_matches_adding_the_negative(a, b):
-    # Same terms, in the same order, with the same scalar types.
-    listed = lambda x: [(k, c, type(c)) for k, c in x.items()]
-    assert listed(a - b) == listed(a + (-1) * b)
-    assert (a - a).is_zero()
-
-
 @given(sized_matrices(int_or_fraction))
 @settings(max_examples=100)
 def test_kernel_vectors_hold_exact_scalars(m):
