@@ -36,6 +36,7 @@ COMMANDS = [
     ["prim", "both", "--max-degree", "6"],
     ["dims", "all", "--max-degree", "7"],
     ["verify", "all"],
+    ["verify", "all", "--json"],
     ["verify", "coassoc", "--json"],
     ["verify", "coassoc", "--max-degree", "6"],
     ["homology", "--weight-cap", "5"],

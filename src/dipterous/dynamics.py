@@ -10,8 +10,8 @@ right-handed one-sided axioms exactly; so do the operations derived from
 any right Baxter-Rota operator.
 
 Rewriting dynamics iterate (concatenate after cooperating): with
-stochastic weights every step preserves total mass exactly, since weights
-are rationals and each symbol's rule weights sum to one.
+stochastic weights (each symbol's rule weights are >= 0 and sum to one)
+every step preserves total mass exactly, since weights are rationals.
 
 File formats (bit-exact):
   grammar:  one rule per line, ``A -> B C : p/q``; ``#`` comments
@@ -55,18 +55,21 @@ class CoopTable:
                     raise GrammarError(f"rule for {sym!r} uses unknown symbols")
 
     def is_stochastic(self) -> bool:
-        return all(
-            sum(w for w, _ in options) == 1 for options in self.rules.values()
-        )
+        return all(_is_distribution(options) for options in self.rules.values())
 
     def check_stochastic(self):
         for sym, options in self.rules.items():
-            total = sum(w for w, _ in options)
-            if total != 1:
+            if not _is_distribution(options):
+                weights = ", ".join(str(w) for w, _ in options)
                 raise GrammarError(
-                    f"weights for {sym!r} sum to {total}, not 1; "
+                    f"weights for {sym!r} must be >= 0 and sum to 1, got {weights}; "
                     "pass free-weights mode to allow this"
                 )
+
+
+def _is_distribution(options) -> bool:
+    """Every rule weight is >= 0 and the weights sum to 1."""
+    return all(w >= 0 for w, _ in options) and sum(w for w, _ in options) == 1
 
 
 def delta_sharp(tbl: CoopTable, x: WordElement) -> LinComb:
@@ -121,10 +124,6 @@ def as_endo(zeta: Endo | Mapping[Word, WordElement]) -> Endo:
     return lookup
 
 
-def apply_endo(zeta: Endo, x: WordElement) -> WordElement:
-    return linear(zeta)(x)
-
-
 def baxter_check(zeta: Endo | Mapping, samples: Sequence[Word]) -> tuple[Word, Word] | None:
     """First witness pair violating zeta(x) zeta(y) = zeta(zeta(x) y), or None.
 
@@ -135,7 +134,7 @@ def baxter_check(zeta: Endo | Mapping, samples: Sequence[Word]) -> tuple[Word, W
         zx = zeta(wx)
         for wy in samples:
             lhs = concat(zx, zeta(wy))
-            rhs = apply_endo(zeta, concat(zx, word_elem(wy)))
+            rhs = linear(zeta)(concat(zx, word_elem(wy)))
             if lhs != rhs:
                 return (wx, wy)
     return None
@@ -153,7 +152,8 @@ def baxter_derived_ops(
         witness = baxter_check(zeta, samples)
         if witness is not None:
             raise ValueError(f"Baxter-Rota law fails on sampled pair {witness}")
-    return concat(apply_endo(zeta, x), y), concat(x, apply_endo(zeta, y))
+    z = linear(zeta)
+    return concat(z(x), y), concat(x, z(y))
 
 
 @dataclass(frozen=True)

@@ -182,16 +182,9 @@ def decompose_basis(x: DiptBasis) -> tuple[str, DiptBasis, DiptBasis]:
     return (OP_SUCC, left, right)
 
 
-def dipt_basis_of_degree(n: int, num_gens: int = 1) -> list[DiptBasis]:
-    """All degree-n basis elements over the given alphabet, canonically ordered.
-
-    Each order is enumerated and sorted once; every call returns a new list.
-    """
-    return list(_dipt_basis(n, num_gens))
-
-
 @cache
-def _dipt_basis(n: int, num_gens: int) -> tuple[DiptBasis, ...]:
+def dipt_basis_of_degree(n: int, num_gens: int = 1) -> tuple[DiptBasis, ...]:
+    """All degree-n basis elements over the given alphabet, canonically ordered."""
     if n < 1:
         raise ValueError("degree must be >= 1")
     words = list(product(range(num_gens), repeat=n))
@@ -304,10 +297,11 @@ ldipt_nwarrow = bilinear(ldipt_nwarrow_basis)
 ldipt_succ = bilinear(ldipt_succ_basis)
 
 
-def ldipt_basis_of_degree(n: int) -> list[LDiptBasis]:
+@cache
+def ldipt_basis_of_degree(n: int) -> tuple[LDiptBasis, ...]:
     if n < 1:
         raise ValueError("degree must be >= 1")
-    return sorted((LDiptBasis(t, (0,) * n) for t in enumerate_binary(n)), key=str)
+    return tuple(sorted((LDiptBasis(t, (0,) * n) for t in enumerate_binary(n)), key=str))
 
 
 def ldipt_reflect_tree(t: BinaryTree) -> BinaryTree:

@@ -115,7 +115,8 @@ qn_star = bilinear(qn_star_basis)
 qn_succ = bilinear(qn_succ_basis)
 
 
-def qn_basis_of_degree(n: int, num_gens: int = 1) -> list[QNBasis]:
+@cache
+def qn_basis_of_degree(n: int, num_gens: int = 1) -> tuple[QNBasis, ...]:
     if n < 1:
         raise ValueError("degree must be >= 1")
     out = [QNBasis(w, None) for w in product(range(num_gens), repeat=n)]
@@ -125,7 +126,7 @@ def qn_basis_of_degree(n: int, num_gens: int = 1) -> list[QNBasis]:
             for w in product(range(num_gens), repeat=n - 1)
             for i in range(num_gens)
         ]
-    return sorted(out, key=str)
+    return tuple(sorted(out, key=str))
 
 
 def qn_dim_table(max_n: int) -> list[int]:
@@ -174,27 +175,19 @@ def chain(symbol: str | None, slots: Iterable[DiptBasis]) -> ChainKey:
     return ChainKey(symbol, slots)
 
 
-def chain_basis(arity: int, weight: int) -> list[ChainKey]:
-    """All basis chains of the given arity whose slot degrees sum to weight,
-    over the one-generator basis.
-
-    Each order is enumerated and sorted once; every call returns a new list.
-    """
-    return list(_chain_basis(arity, weight))
-
-
 @cache
-def _chain_basis(arity: int, weight: int) -> tuple[ChainKey, ...]:
+def chain_basis(arity: int, weight: int) -> tuple[ChainKey, ...]:
+    """All basis chains of the given arity whose slot degrees sum to weight,
+    over the one-generator basis."""
     if arity < 1 or weight < arity:
         return ()
     if arity == 1:
         return tuple(ChainKey(None, (b,)) for b in dipt_basis_of_degree(weight))
-    basis = cache(dipt_basis_of_degree)
     out = [
         ChainKey(sym, slots)
         for degrees in _compositions(weight, arity)
         if len(degrees) == arity
-        for slots in product(*map(basis, degrees))
+        for slots in product(*map(dipt_basis_of_degree, degrees))
         for sym in (SYM_STAR, SYM_SUCC)
     ]
     return tuple(sorted(out, key=str))

@@ -249,19 +249,6 @@ class SparseMatrix:
             rows[i][j] = c
         return rows
 
-    def apply(self, vec: LinComb) -> LinComb:
-        """Multiply by a vector given as a LinComb over column indices."""
-        out: dict[int, Scalar] = {}
-        for (i, j), c in self.entries.items():
-            v = vec.coeff(j)
-            if v:
-                acc = out.get(i, 0) + c * v
-                if acc:
-                    out[i] = acc
-                else:
-                    out.pop(i, None)
-        return LinComb(out)
-
 
 def _echelon(rows: list[dict[int, Scalar]], ncols: int) -> tuple[list[dict[int, Scalar]], list[int]]:
     """Forward row echelon form of fresh row dicts; returns (pivot rows, pivot columns).

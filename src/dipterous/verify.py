@@ -117,9 +117,10 @@ def _degree_tuples(make, arity: int, max_total: int):
         yield from itertools.product(*map(make, ds))
 
 
-def check_dipterous_axioms(max_total: int = 6) -> list[Check]:
+def check_dipterous_axioms() -> list[Check]:
+    """The dipterous axioms on all basis triples of total degree <= 6."""
     return _laws(
-        _degree_tuples(_as_elems(dipt_basis_of_degree), 3, max_total),
+        _degree_tuples(_as_elems(dipt_basis_of_degree), 3, 6),
         [
             ("star associativity", lambda x, y, z: (star(star(x, y), z), star(x, star(y, z)))),
             ("(x*y)>z = x>(y>z)", lambda x, y, z: (succ(star(x, y), z), succ(x, succ(y, z)))),
@@ -127,20 +128,23 @@ def check_dipterous_axioms(max_total: int = 6) -> list[Check]:
     )
 
 
-def check_right_dipterous_axioms(max_total: int = 4) -> list[Check]:
+def check_right_dipterous_axioms() -> list[Check]:
+    """The right-dipterous axiom and the mirror oracle on all basis tuples
+    of total degree <= 4."""
     make, prec = _as_elems(dipt_basis_of_degree), rdipt_prec
     # mirror oracle: < must be the reflection conjugate of >
     mirror = lambda x, y: (prec(x, y), reflect(succ(reflect(y), reflect(x))))
     return _laws(
-        _degree_tuples(make, 3, max_total),
+        _degree_tuples(make, 3, 4),
         [("(x<y)<z = x<(y*z)", lambda x, y, z: (prec(prec(x, y), z), prec(x, star(y, z))))],
-    ) + _laws(_degree_tuples(make, 2, max_total), [("< is the reflection conjugate of >", mirror)])
+    ) + _laws(_degree_tuples(make, 2, 4), [("< is the reflection conjugate of >", mirror)])
 
 
-def check_ldipterous_axioms(max_total: int = 5) -> list[Check]:
+def check_ldipterous_axioms() -> list[Check]:
+    """The L-dipterous axioms on all binary-tree triples of total degree <= 5."""
     nw, gt = ldipt_nwarrow, ldipt_succ
     return _laws(
-        _degree_tuples(_as_elems(ldipt_basis_of_degree), 3, max_total),
+        _degree_tuples(_as_elems(ldipt_basis_of_degree), 3, 5),
         [
             ("nw associativity", lambda x, y, z: (nw(nw(x, y), z), nw(x, nw(y, z)))),
             ("(x nw y)>z = x>(y>z)", lambda x, y, z: (gt(nw(x, y), z), gt(x, gt(y, z)))),
@@ -149,10 +153,12 @@ def check_ldipterous_axioms(max_total: int = 5) -> list[Check]:
     )
 
 
-def check_qn_axioms(max_total: int = 5) -> list[Check]:
+def check_qn_axioms() -> list[Check]:
+    """The four vanishing identities on all tagged-word triples of total
+    degree <= 5."""
     zero = LinComb()
     return _laws(
-        _degree_tuples(_as_elems(qn_basis_of_degree), 3, max_total),
+        _degree_tuples(_as_elems(qn_basis_of_degree), 3, 5),
         [
             ("(x>y)*z = 0", lambda x, y, z: (qn_star(qn_succ(x, y), z), zero)),
             ("x>(y*z) = 0", lambda x, y, z: (qn_succ(x, qn_star(y, z)), zero)),
@@ -162,10 +168,11 @@ def check_qn_axioms(max_total: int = 5) -> list[Check]:
     )
 
 
-def check_nap_axiom(max_total: int = 6) -> list[Check]:
+def check_nap_axiom() -> list[Check]:
+    """The NAP identity on all rooted-tree triples of total degree <= 6."""
     law = lambda x, y, z: (nap_graft(nap_graft(x, y), z), nap_graft(nap_graft(x, z), y))
     return _laws(
-        _degree_tuples(enumerate_nap, 3, max_total),
+        _degree_tuples(enumerate_nap, 3, 6),
         [("(x<|y)<|z = (x<|z)<|y", law)],
     )
 
@@ -180,10 +187,11 @@ def _perm_nap_elements(n: int) -> list[LinComb]:
     ]
 
 
-def check_perm_nap_axioms(max_total: int = 5) -> list[Check]:
+def check_perm_nap_axioms() -> list[Check]:
+    """The pair axioms on all pair triples of total degree <= 5."""
     st, pr = perm_nap_star, perm_nap_prec
     return _laws(
-        _degree_tuples(_perm_nap_elements, 3, max_total),
+        _degree_tuples(_perm_nap_elements, 3, 5),
         [
             ("pair star associativity", lambda x, y, z: (st(st(x, y), z), st(x, st(y, z)))),
             ("pair star permutativity", lambda x, y, z: (st(st(x, y), z), st(st(x, z), y))),
@@ -245,28 +253,30 @@ def cocommutative_witness(max_degree: int) -> str | None:
     return _first_basis_failure(max_degree, sides)
 
 
-def delta_compatibility_witness(max_total: int) -> str | None:
-    """delta(x <> y) matches the defining relation on all basis pairs, and
-    so, both sides being bilinear, on all pairs."""
+def delta_compatibility_witness() -> str | None:
+    """delta(x <> y) matches the defining relation on all basis pairs of
+    total degree <= 5, and so, both sides being bilinear, on all pairs of
+    that total degree."""
     ops = {OP_STAR: star, OP_SUCC: succ}
 
     def sides(op, a, b):
         x, y = LinComb.basis(a), LinComb.basis(b)
         return delta(ops[op](x, y)), semi_inf_rhs(ops[op], x, y)
 
-    pairs = _degree_tuples(dipt_basis_of_degree, 2, max_total)
+    pairs = _degree_tuples(dipt_basis_of_degree, 2, 5)
     return _first_failure(((op, a, b) for a, b in pairs for op in ops), sides)
 
 
-def morphism_witness(cop_basis, tensor_star, tensor_succ, max_total: int) -> str | None:
-    """cop(x <> y) = cop(x) <>_tensor cop(y) on all basis pairs."""
+def morphism_witness(cop_basis, tensor_star, tensor_succ) -> str | None:
+    """cop(x <> y) = cop(x) <>_tensor cop(y) on all basis pairs of total
+    degree <= 4."""
     ops = {OP_STAR: (star_basis, tensor_star), OP_SUCC: (succ_basis, tensor_succ)}
 
     def sides(op, a, b):
         basis_op, tensor_op = ops[op]
         return cop_basis(basis_op(a, b)), tensor_op(cop_basis(a), cop_basis(b))
 
-    pairs = _degree_tuples(dipt_basis_of_degree, 2, max_total)
+    pairs = _degree_tuples(dipt_basis_of_degree, 2, 4)
     return _first_failure(((op, a, b) for a, b in pairs for op in ops), sides)
 
 
@@ -290,14 +300,14 @@ def coassoc_suite(max_degree: int = 4) -> list[Check]:
             for name, cop in unital
         ),
         Check("cocommutative coproduct flip-invariant", cocommutative_witness(max_degree)),
-        Check("delta compatible with both products", delta_compatibility_witness(5)),
+        Check("delta compatible with both products", delta_compatibility_witness()),
         Check(
             "semi-Hopf coproduct is a product morphism",
-            morphism_witness(blacktriangle_basis, semi_tensor_star, semi_tensor_succ, 4),
+            morphism_witness(blacktriangle_basis, semi_tensor_star, semi_tensor_succ),
         ),
         Check(
             "cocommutative coproduct is a product morphism",
-            morphism_witness(hopf_delta_basis, semi_tensor_star, classical_tensor_succ, 4),
+            morphism_witness(hopf_delta_basis, semi_tensor_star, classical_tensor_succ),
         ),
     ]
 

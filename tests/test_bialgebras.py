@@ -146,8 +146,8 @@ def test_hopf_delta_example():
 
 
 def test_morphism_properties():
-    assert morphism_witness(blacktriangle_basis, semi_tensor_star, semi_tensor_succ, 4) is None
-    assert morphism_witness(hopf_delta_basis, semi_tensor_star, classical_tensor_succ, 4) is None
+    assert morphism_witness(blacktriangle_basis, semi_tensor_star, semi_tensor_succ) is None
+    assert morphism_witness(hopf_delta_basis, semi_tensor_star, classical_tensor_succ) is None
 
 
 def test_reduced_vartriangle_is_delta():

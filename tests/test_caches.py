@@ -12,14 +12,16 @@ CACHES = (
     trees.enumerate_binary,
     trees._enumerate_nap,
     freealg.decompose_basis,
-    freealg._dipt_basis,
+    freealg.dipt_basis_of_degree,
+    freealg.ldipt_basis_of_degree,
     freealg.eval_basis,
     coproducts.delta_basis,
     coproducts._e_basis,
     bialgebras.vartriangle_basis,
     bialgebras._antipode_basis,
     bialgebras._u_star,
-    homology._chain_basis,
+    homology.qn_basis_of_degree,
+    homology.chain_basis,
 )
 
 MAX_DEGREE = 5
@@ -108,8 +110,8 @@ def test_delta_keeps_one_entry_per_key_whatever_t():
 
 def test_nap_trees_keep_one_entry_per_degree_and_alphabet():
     clear_caches()
-    verify.check_nap_axiom(6)
-    verify.check_perm_nap_axioms(5)
+    verify.check_nap_axiom()
+    verify.check_perm_nap_axioms()
     # Both checks reach degrees 1..4 over the one-letter alphabet, whether
     # they pass it or not.
     assert trees._enumerate_nap.cache_info().currsize == 4

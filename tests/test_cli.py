@@ -162,6 +162,18 @@ def test_dynamics_non_stochastic_needs_flag(tmp_path, capsys):
     assert "1/3" in out
 
 
+def test_dynamics_negative_weight_needs_flag(tmp_path, capsys):
+    # The weights of A sum to 1, but one of them is negative.
+    grammar = tmp_path / "negative.grammar"
+    grammar.write_text("A -> A A : 3/2\nA -> B B : -1/2\nB -> B B : 1\n")
+    code, out, err = run(capsys, "dynamics", str(grammar), "A", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("grammar error:") and "'A'" in err and ">= 0" in err
+    code, out, _ = run(capsys, "dynamics", str(grammar), "A", "1", "--free-weights")
+    assert code == 0
+    assert "BB : -1/2" in out
+
+
 def test_dynamics_parse_error_carries_line(tmp_path, capsys):
     grammar = tmp_path / "bad.grammar"
     grammar.write_text("s -> a b : 1\noops\n")
@@ -301,23 +313,6 @@ def test_closed_stdout_exits_quietly():
         os.close(write_end)
     assert "Traceback" not in proc.stderr.decode()
     assert proc.returncode == 0
-
-
-def test_dimension_report_script_runs():
-    proc = _run_subprocess(
-        [str(ROOT / "scripts" / "dimension_report.py"), "--max-degree", "3"], stdout=subprocess.PIPE
-    )
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert "koszul_ok=True" in proc.stdout.decode().splitlines()
-
-
-def test_dimension_report_rejects_a_degree_below_one():
-    proc = _run_subprocess(
-        [str(ROOT / "scripts" / "dimension_report.py"), "--max-degree", "0"], stdout=subprocess.PIPE
-    )
-    err = proc.stderr.decode()
-    assert proc.returncode == 2
-    assert "--max-degree" in err and "Traceback" not in err
 
 
 def test_size_report_counts_every_module():

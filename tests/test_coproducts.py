@@ -93,7 +93,7 @@ def test_delta_coassociative_all_t():
 
 
 def test_delta_compatible_with_products():
-    assert delta_compatibility_witness(5) is None
+    assert delta_compatibility_witness() is None
 
 
 def test_delta_compatible_exhaustive_low_degree():

@@ -3,12 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from dipterous.linalg import LinComb
+from dipterous.linalg import LinComb, linear
 from dipterous.dynamics import (
     CoopTable,
     GrammarError,
     WeightedGraph,
-    apply_endo,
     baxter_check,
     baxter_derived_ops,
     bowtie,
@@ -141,7 +140,7 @@ def test_endo_table_lookup():
 
     table = {("a",): word_elem(("a", "a"))}
     zeta = as_endo(table)
-    assert apply_endo(zeta, word_elem(("a",))) == word_elem(("a", "a"))
+    assert linear(zeta)(word_elem(("a",))) == word_elem(("a", "a"))
     with pytest.raises(KeyError):
         zeta(("b",))
 
@@ -226,6 +225,17 @@ def test_parse_grammar_stochastic_check():
         parse_grammar(text)
     tbl = parse_grammar(text, probability=False)
     assert not tbl.is_stochastic()
+
+
+def test_negative_weights_are_not_stochastic():
+    # Each symbol's weights sum to 1, but A's include a negative one.
+    text = "A -> A A : 3/2\nA -> B B : -1/2\nB -> B B : 1\n"
+    with pytest.raises(GrammarError) as err:
+        parse_grammar(text)
+    assert "'A'" in str(err.value)
+    tbl = parse_grammar(text, probability=False)
+    assert not tbl.is_stochastic()
+    assert dynamics_run(tbl, "A", 1) == LinComb({("A", "A"): Fraction(3, 2), ("B", "B"): Fraction(-1, 2)})
 
 
 def test_parse_grammar_comments_and_unknown_symbols():

@@ -99,7 +99,7 @@ def test_decompose_is_a_section_degree_le_7():
 
 
 def test_dipterous_axioms_exhaustive():
-    for check in check_dipterous_axioms(6):
+    for check in check_dipterous_axioms():
         assert check.ok, check
 
 
@@ -201,7 +201,7 @@ def test_eval_universal_is_a_morphism_into_binary_trees():
 
 
 def test_rdipt_is_reflection_conjugate_and_satisfies_axioms():
-    for check in check_right_dipterous_axioms(4):
+    for check in check_right_dipterous_axioms():
         assert check.ok, check
 
 
@@ -236,7 +236,7 @@ def test_ldipt_examples():
 
 
 def test_ldipt_axioms():
-    for check in check_ldipterous_axioms(5):
+    for check in check_ldipterous_axioms():
         assert check.ok, check
 
 
@@ -296,7 +296,7 @@ def test_perm_nap_examples():
 
 
 def test_perm_nap_axioms():
-    for check in check_perm_nap_axioms(5):
+    for check in check_perm_nap_axioms():
         assert check.ok, check
 
 

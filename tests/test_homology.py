@@ -67,7 +67,7 @@ def test_qn_dims():
 
 
 def test_qn_axioms_exhaustive():
-    for check in check_qn_axioms(5):
+    for check in check_qn_axioms():
         assert check.ok, check
 
 
@@ -119,7 +119,7 @@ def test_chain_basis_sizes():
     assert len(chain_basis(1, 2)) == 2
     assert len(chain_basis(2, 2)) == 2
     assert len(chain_basis(2, 3)) == 8
-    assert chain_basis(2, 1) == []
+    assert chain_basis(2, 1) == ()
 
 
 def test_face_collapse_to_arity_one():

@@ -148,13 +148,14 @@ def test_repr_is_the_field_form():
     assert repr(DiptBasis(Forest((LEAF,)), (0,))) == "[|] @ a"
 
 
-def test_cached_bases_are_fresh_lists():
-    first = dipt_basis_of_degree(3)
-    first.clear()
+def test_cached_bases_are_shared_tuples():
+    # Each enumeration hands every caller its one cached tuple; a tuple
+    # cannot be changed, so no caller can corrupt the cache.
+    for enumerate_basis, args in ((dipt_basis_of_degree, (3,)), (chain_basis, (2, 4))):
+        basis = enumerate_basis(*args)
+        assert type(basis) is tuple and enumerate_basis(*args) is basis
+        assert list(basis) == sorted(basis, key=str)
     assert len(dipt_basis_of_degree(3)) == 6
-    chains = chain_basis(2, 4)
-    chains.reverse()
-    assert chain_basis(2, 4) == sorted(chains, key=str)
 
 
 def _cli_stdout(args, hash_seed):

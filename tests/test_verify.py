@@ -70,7 +70,7 @@ def test_nap_check_reports_the_first_failing_triple(monkeypatch):
         return nap_graft(s, t)
 
     monkeypatch.setattr(verify, "nap_graft", reversed_graft)
-    [check] = verify.check_nap_axiom(6)
+    [check] = verify.check_nap_axiom()
     assert not check.ok
     # Degree order: (1, 1, 1) holds for any graft, (1, 1, 2) is the first
     # degree tuple, and v ; v ; v[v] its only triple.
@@ -89,7 +89,7 @@ def test_compatibility_scan_reports_the_first_failing_pair(monkeypatch):
     monkeypatch.setattr(verify, "semi_inf_rhs", star_rhs_only)
     # While delta(x) vanishes the two right sides agree, so the first
     # failure is succ on the first degree-2 x with a nonzero coproduct.
-    assert verify.delta_compatibility_witness(5) == "succ ; [(| |)] @ aa ; [|] @ a"
+    assert verify.delta_compatibility_witness() == "succ ; [(| |)] @ aa ; [|] @ a"
     # Star and succ on each of the 31 pairs of degrees (1, 1) to (1, 4), then
     # on the failing pair; nothing is evaluated after the failure.
     assert len(calls) == 2 * 31 + 2
