@@ -41,6 +41,8 @@ COMMANDS = [
     ["verify", "coassoc", "--max-degree", "6"],
     ["homology", "--weight-cap", "5"],
     ["dynamics", "scripts/data/substitution.grammar", "s", "4"],
+    ["dynamics", "scripts/data/substitution.grammar", "zz", "2"],
+    ["verify", "pbw", "--max-degree", "7"],
 ]
 
 

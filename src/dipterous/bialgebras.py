@@ -175,20 +175,9 @@ vartriangle = _lift(vartriangle_basis)
 hopf_delta = _lift(hopf_delta_basis)
 
 
-def reduced(cop, x: LinComb) -> LinComb:
-    """Strip the two unit terms of a coproduct of a body-only element."""
-    if x.coeff(UNIT):
-        raise ValueError("reduced coproducts need a zero scalar part")
-    unit_terms = [((UNIT, key), c) for key, c in x.items()]
-    unit_terms += [((key, UNIT), c) for key, c in x.items()]
-    out = cop(x) - LinComb(unit_terms)
-    for (k1, k2) in out.terms:
-        if k1 == UNIT or k2 == UNIT:
-            raise ValueError("reduction left a unit term behind")
-    return out
-
-
 def reduced_basis(cop_basis, key: DiptBasis) -> LinComb:
+    """The coproduct of a basis key less its two unit terms 1 (x) key and
+    key (x) 1; any other unit term stays in the result."""
     return cop_basis(key) - _pair(UNIT, key) - _pair(key, UNIT)
 
 

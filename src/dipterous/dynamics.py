@@ -13,7 +13,8 @@ Rewriting dynamics iterate (concatenate after cooperating): with
 stochastic weights (each symbol's rule weights are >= 0 and sum to one)
 every step preserves total mass exactly, since weights are rationals.
 
-File formats (bit-exact):
+File formats (bit-exact; a weight is ``p/q`` or a decimal, never exponent
+notation):
   grammar:  one rule per line, ``A -> B C : p/q``; ``#`` comments
   graph:    lines ``arc v w p/q``
 """
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .linalg import LinComb, as_scalar, bilinear, linear
+from .linalg import LinComb, as_scalar, bilinear, linear, parse_rational
 
 Word = tuple[str, ...]
 WordElement = LinComb  # over Word keys
@@ -53,9 +54,6 @@ class CoopTable:
             for _, (b, c) in options:
                 if b not in self.alphabet or c not in self.alphabet:
                     raise GrammarError(f"rule for {sym!r} uses unknown symbols")
-
-    def is_stochastic(self) -> bool:
-        return all(_is_distribution(options) for options in self.rules.values())
 
     def check_stochastic(self):
         for sym, options in self.rules.items():
@@ -192,13 +190,15 @@ def dynamics_step(tbl: CoopTable, state: WordElement) -> WordElement:
     return mu(delta_sharp(tbl, state))
 
 
-def dynamics_run(tbl: CoopTable, start: str, steps: int) -> WordElement:
+def dynamics_run(tbl: CoopTable, start: str, steps: int) -> list[WordElement]:
+    """The states after 0, 1, ..., steps rewriting steps from the one-letter
+    word ``start``."""
     if start not in tbl.alphabet:
         raise GrammarError(f"start symbol {start!r} not in alphabet")
-    state = word_elem((start,))
+    states = [word_elem((start,))]
     for _ in range(steps):
-        state = dynamics_step(tbl, state)
-    return state
+        states.append(dynamics_step(tbl, states[-1]))
+    return states
 
 
 def total_mass(state: WordElement) -> Fraction:
@@ -218,7 +218,7 @@ def parse_grammar(text: str, probability: bool = True) -> CoopTable:
             body_part, weight_part = rest.split(":")
             head = head_part.strip()
             body = body_part.split()
-            weight = Fraction(weight_part.strip())
+            weight = parse_rational(weight_part.strip())
         except (ValueError, ZeroDivisionError):
             raise GrammarError(f"expected 'A -> B C : p/q', got {raw!r}", lineno) from None
         if len(body) != 2 or not head:
@@ -246,7 +246,7 @@ def parse_graph(text: str) -> WeightedGraph:
         if len(fields) != 4 or fields[0] != "arc":
             raise GrammarError(f"expected 'arc v w p/q', got {raw!r}", lineno)
         try:
-            weight = Fraction(fields[3])
+            weight = parse_rational(fields[3])
         except (ValueError, ZeroDivisionError):
             raise GrammarError(f"bad weight {fields[3]!r}", lineno) from None
         vertices.update(fields[1:3])

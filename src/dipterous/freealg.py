@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import product
 from typing import Callable, Mapping, Sequence
 
 from .linalg import LinComb, bilinear
@@ -183,13 +182,12 @@ def decompose_basis(x: DiptBasis) -> tuple[str, DiptBasis, DiptBasis]:
 
 
 @cache
-def dipt_basis_of_degree(n: int, num_gens: int = 1) -> tuple[DiptBasis, ...]:
-    """All degree-n basis elements over the given alphabet, canonically ordered."""
+def dipt_basis_of_degree(n: int) -> tuple[DiptBasis, ...]:
+    """All degree-n basis elements over one generator, canonically ordered."""
     if n < 1:
         raise ValueError("degree must be >= 1")
-    words = list(product(range(num_gens), repeat=n))
-    out = [DiptBasis(f, w) for f in enumerate_forests(n) for w in words]
-    return tuple(sorted(out, key=str))
+    word = (0,) * n
+    return tuple(sorted((DiptBasis(f, word) for f in enumerate_forests(n)), key=str))
 
 
 def reflect_tree(t: PlanarTree) -> PlanarTree:
@@ -355,18 +353,9 @@ perm_nap_prec = bilinear(perm_nap_prec_basis)
 # Dimension tables.
 
 
-@dataclass(frozen=True)
-class DimTable:
-    dims: tuple[int, ...]
-    reference: tuple[int, ...]
-
-    @property
-    def match(self) -> bool:
-        return self.dims == self.reference
-
-
-def dim_table(max_n: int) -> dict[str, DimTable]:
-    """Dimensions per degree by direct enumeration, with series references.
+def dim_table(max_n: int) -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Dimensions per degree by direct enumeration, each paired with its
+    series reference as ``(dims, reference)``.
 
     Keys: 'dipt' (forests / large Schroeder), 'mag' (trees / little
     Schroeder), 'ldipt' (binary trees / Catalan).
@@ -377,7 +366,7 @@ def dim_table(max_n: int) -> dict[str, DimTable]:
     mag = tuple(len(enumerate_trees(n)) for n in range(1, max_n + 1))
     ldipt = tuple(len(enumerate_binary(n)) for n in range(1, max_n + 1))
     return {
-        "dipt": DimTable(dipt, tuple(large_schroeder(max_n))),
-        "mag": DimTable(mag, tuple(little_schroeder(max_n))),
-        "ldipt": DimTable(ldipt, tuple(catalan_series(max_n + 1)[1:])),
+        "dipt": (dipt, tuple(large_schroeder(max_n))),
+        "mag": (mag, tuple(little_schroeder(max_n))),
+        "ldipt": (ldipt, tuple(catalan_series(max_n + 1)[1:])),
     }

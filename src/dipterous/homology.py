@@ -116,16 +116,13 @@ qn_succ = bilinear(qn_succ_basis)
 
 
 @cache
-def qn_basis_of_degree(n: int, num_gens: int = 1) -> tuple[QNBasis, ...]:
+def qn_basis_of_degree(n: int) -> tuple[QNBasis, ...]:
+    """All degree-n basis elements over one generator, ordered by ``str``."""
     if n < 1:
         raise ValueError("degree must be >= 1")
-    out = [QNBasis(w, None) for w in product(range(num_gens), repeat=n)]
+    out = [QNBasis((0,) * n)]
     if n >= 2:
-        out += [
-            QNBasis(w, i)
-            for w in product(range(num_gens), repeat=n - 1)
-            for i in range(num_gens)
-        ]
+        out.append(QNBasis((0,) * (n - 1), 0))
     return tuple(sorted(out, key=str))
 
 

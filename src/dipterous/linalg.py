@@ -50,6 +50,19 @@ def as_scalar(c: Scalar | str) -> Scalar:
     return c.numerator if c.denominator == 1 else c
 
 
+def parse_rational(text: str) -> Fraction:
+    """The rational written in ``text`` as ``p/q`` or a decimal.
+
+    Exponent notation raises ``ValueError`` before ``Fraction`` reads it:
+    ``Fraction`` builds the power of ten an exponent names, so one short
+    input such as ``1e10000000`` would cost seconds. A zero denominator
+    raises ``ZeroDivisionError``.
+    """
+    if "e" in text.lower():
+        raise ValueError(f"exponent notation in {text!r}")
+    return Fraction(text)
+
+
 def canon(key) -> str:
     """Canonical sort string for a basis key (tuples recurse)."""
     if isinstance(key, tuple):

@@ -196,14 +196,6 @@ class NapTree:
         return self.label + "[" + ",".join(str(c) for c in self.children) + "]"
 
 
-def graft(ts) -> PlanarTree:
-    """Join p >= 2 trees in order under a new common root."""
-    ts = tuple(ts)
-    if len(ts) < 2:
-        raise ValueError("unary/empty grafting not in Schroeder basis")
-    return PlanarTree(ts)
-
-
 def corolla(n: int) -> PlanarTree:
     """The depth-one tree with n leaves."""
     if n < 2:

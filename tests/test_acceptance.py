@@ -52,6 +52,8 @@ from dipterous.verify import (
 )
 from dipterous.bialgebras import blacktriangle_basis, hopf_delta_basis, vartriangle_basis
 
+from two_letters import dipt_basis_2
+
 
 def report(num: int, description: str, ok: bool, note: str = "") -> bool:
     status = "PASS" if ok else "FAIL"
@@ -130,7 +132,7 @@ def test_criterion_6_section_and_corestriction():
         if com_corestrict(com_symmetrize(word)) != LinComb.basis(tuple(sorted(word))):
             ok = False
     for n in range(1, 5):
-        for b in dipt_basis_of_degree(n, num_gens=2)[:30]:
+        for b in dipt_basis_2(n)[:30]:
             x = LinComb.basis(b)
             lhs = None
             image = phi_corestrict(x)

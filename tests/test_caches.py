@@ -3,6 +3,8 @@ cache state, and each cache keeps one entry per argument tuple."""
 
 from fractions import Fraction
 
+import pytest
+
 from dipterous import bialgebras, coproducts, freealg, homology, trees, verify
 from dipterous.linalg import LinComb
 
@@ -135,3 +137,17 @@ def test_antipode_products_keep_one_entry_per_key_pair():
         bialgebras._u_star(a, b)
     # Every probe is a hit, so the table holds exactly these pairs.
     assert bialgebras._u_star.cache_info().misses == info.misses
+
+
+def test_enumerations_keep_one_entry_per_degree():
+    clear_caches()
+    for n in (4, 4, 2):
+        freealg.dipt_basis_of_degree(n)
+        homology.qn_basis_of_degree(n)
+    coproducts.pbw_dim_check(4)
+    homology.qn_dim_table(4)
+    # Both enumerations take the degree alone, so degrees 1..4 are 4 entries.
+    for fn in (freealg.dipt_basis_of_degree, homology.qn_basis_of_degree):
+        assert fn.cache_info().currsize == 4
+        with pytest.raises(TypeError):
+            fn(4, 2)

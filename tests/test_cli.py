@@ -40,7 +40,7 @@ def test_dims_unknown_operad_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("bad", ["abc", "1/0"])
+@pytest.mark.parametrize("bad", ["abc", "1/0", "1e400", "-1E400"])
 def test_bad_t_is_usage_error(capsys, bad):
     with pytest.raises(SystemExit) as exc:
         main(["prim", "semiinf", "--t", bad])
@@ -180,6 +180,11 @@ def test_dynamics_parse_error_carries_line(tmp_path, capsys):
     code, _, err = run(capsys, "dynamics", str(grammar), "s", "1")
     assert code == 2
     assert "line 2" in err
+    # Exponent notation is refused before it is read, whatever the weights mode.
+    grammar.write_text("s -> s s : 1\ns -> a a : 1e400\n")
+    code, out, err = run(capsys, "dynamics", str(grammar), "s", "1", "--free-weights")
+    assert (code, out) == (2, "")
+    assert "grammar error: line 2" in err
 
 
 def test_dynamics_unknown_start(tmp_path, capsys):

@@ -39,6 +39,8 @@ from dipterous.series import little_schroeder
 from dipterous.trees import enumerate_trees, parse_forest
 from dipterous.verify import delta_coassoc_witness, delta_compatibility_witness
 
+from two_letters import dipt_basis_2
+
 
 def be(forest_text: str, word: str) -> DiptBasis:
     return DiptBasis(parse_forest(forest_text), tuple(ord(c) - ord("a") for c in word))
@@ -284,7 +286,7 @@ def test_phi_section_identity_all_words_length_le_5():
 
 def test_phi_is_a_coalgebra_morphism_degree_le_4():
     for n in range(1, 5):
-        for b in dipt_basis_of_degree(n, num_gens=2)[:40]:
+        for b in dipt_basis_2(n)[:40]:
             x = LinComb.basis(b)
             image = phi_corestrict(x)
             lhs = LinComb()

@@ -158,7 +158,7 @@ def test_graph_coop():
     tbl = graph_coop(g)
     out = delta_sharp(tbl, word_elem(("v",)))
     assert out == LinComb({(("v",), ("w",)): Fraction(1, 2), (("v",), ("u",)): Fraction(1, 2)})
-    assert tbl.is_stochastic()
+    tbl.check_stochastic()
 
 
 def test_graph_loop():
@@ -180,18 +180,27 @@ def test_graph_duplicate_arc_rejected():
 
 def test_dynamics_one_step_example():
     tbl = parse_grammar("s -> s a : 1/2\ns -> a s : 1/2\na -> a a : 1\n")
-    state = dynamics_run(tbl, "s", 1)
+    state = dynamics_run(tbl, "s", 1)[-1]
     assert state == LinComb({("s", "a"): Fraction(1, 2), ("a", "s"): Fraction(1, 2)})
 
 
 def test_dynamics_zero_steps():
     tbl = parse_grammar("s -> s s : 1\n")
-    assert dynamics_run(tbl, "s", 0) == word_elem(("s",))
+    assert dynamics_run(tbl, "s", 0)[-1] == word_elem(("s",))
+
+
+def test_dynamics_run_lists_every_state():
+    tbl = parse_grammar("s -> s a : 1/2\ns -> a s : 1/2\na -> a a : 1\n")
+    states = dynamics_run(tbl, "s", 3)
+    assert len(states) == 4 and states[0] == word_elem(("s",))
+    assert states[1:] == [dynamics_step(tbl, x) for x in states[:-1]]
+    with pytest.raises(GrammarError, match="start symbol"):
+        dynamics_run(tbl, "x", 1)
 
 
 def test_deterministic_rule_grows_one_letter_per_step():
     tbl = parse_grammar("s -> s a : 1\na -> a a : 1\n")
-    state = dynamics_run(tbl, "s", 3)
+    state = dynamics_run(tbl, "s", 3)[-1]
     assert len(state) == 1
     ((word, mass),) = state.items()
     assert len(word) == 4 and mass == 1
@@ -201,7 +210,7 @@ def test_mass_conserved_ten_steps_seeded_grammars():
     rng = random.Random(1234)
     for _ in range(5):
         tbl = _random_table(rng, n_symbols=rng.randint(2, 5))
-        assert tbl.is_stochastic()
+        tbl.check_stochastic()
         start = sorted(tbl.alphabet)[0]
         state = word_elem((start,))
         for _ in range(10):
@@ -213,6 +222,8 @@ def test_parse_grammar_errors_carry_line_numbers():
     with pytest.raises(GrammarError) as err:
         parse_grammar("s -> a b : 1/2\nnot a rule\n")
     assert "line 2" in str(err.value)
+    with pytest.raises(GrammarError, match="line 2"):
+        parse_grammar("s -> s s : 1\na -> a a : 1e400\n", probability=False)
     with pytest.raises(GrammarError):
         parse_grammar("s -> a : 1\n")
     with pytest.raises(GrammarError):
@@ -224,7 +235,8 @@ def test_parse_grammar_stochastic_check():
     with pytest.raises(GrammarError):
         parse_grammar(text)
     tbl = parse_grammar(text, probability=False)
-    assert not tbl.is_stochastic()
+    with pytest.raises(GrammarError):
+        tbl.check_stochastic()
 
 
 def test_negative_weights_are_not_stochastic():
@@ -234,8 +246,9 @@ def test_negative_weights_are_not_stochastic():
         parse_grammar(text)
     assert "'A'" in str(err.value)
     tbl = parse_grammar(text, probability=False)
-    assert not tbl.is_stochastic()
-    assert dynamics_run(tbl, "A", 1) == LinComb({("A", "A"): Fraction(3, 2), ("B", "B"): Fraction(-1, 2)})
+    with pytest.raises(GrammarError):
+        tbl.check_stochastic()
+    assert dynamics_run(tbl, "A", 1)[-1] == LinComb({("A", "A"): Fraction(3, 2), ("B", "B"): Fraction(-1, 2)})
 
 
 def test_parse_grammar_comments_and_unknown_symbols():
@@ -248,6 +261,8 @@ def test_parse_graph():
     assert g.vertices == frozenset("vwu")
     with pytest.raises(GrammarError):
         parse_graph("arc v w\n")
+    with pytest.raises(GrammarError, match="line 1"):
+        parse_graph("arc v v 1E400\n")
 
 
 def test_distribution_rows_sorted_by_mass_then_word():

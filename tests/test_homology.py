@@ -30,6 +30,8 @@ from dipterous.homology import (
 from dipterous.trees import parse_forest
 from dipterous.verify import check_qn_axioms
 
+from two_letters import qn_basis_2
+
 
 def be(forest_text: str, word: str) -> DiptBasis:
     return DiptBasis(parse_forest(forest_text), tuple(ord(c) - ord("a") for c in word))
@@ -75,7 +77,7 @@ def test_qn_universal_identity():
     gens = {i: LinComb.basis(qn_generator(i)) for i in range(3)}
     target = AlgebraTarget(qn_star, qn_succ, gens, LinComb())
     for n in range(1, 5):
-        for b in qn_basis_of_degree(n, num_gens=2):
+        for b in qn_basis_2(n):
             assert eval_universal(LinComb.basis(b), target) == LinComb.basis(b)
 
 
@@ -87,7 +89,7 @@ def test_qn_universal_into_trivial_succ_algebra():
     t_succ = lambda a, b: Fraction(0)
     target = AlgebraTarget(t_star, t_succ, gens, Fraction(0))
     for n in range(1, 5):
-        for b in qn_basis_of_degree(n, num_gens=2):
+        for b in qn_basis_2(n):
             expected = Fraction(0) if b.tag is not None else Fraction(1)
             assert eval_universal(LinComb.basis(b), target) == expected
 

@@ -20,6 +20,8 @@ from dipterous.trees import (
     parse_tree,
 )
 
+from two_letters import dipt_basis_2
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -38,7 +40,7 @@ def test_parse_returns_the_interned_key():
         assert parse_forest(str(f)) is f
         for t in f.trees:
             assert parse_tree(str(t)) is t
-    for b in dipt_basis_of_degree(4, 2):
+    for b in dipt_basis_2(4):
         assert basis_from_str(str(b)) is b
 
 
@@ -88,7 +90,7 @@ def test_dipt_basis_text_is_stored():
     assert copy.copy(b) is b
     assert pickle.loads(pickle.dumps(b)) is b
     for n in range(1, 6):
-        for b in dipt_basis_of_degree(n, 2):
+        for b in dipt_basis_2(n):
             assert str(b) == f"{b.forest} @ {word_str(b.word)}"
 
 

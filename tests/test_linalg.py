@@ -29,6 +29,7 @@ from dipterous.linalg import (
     map_slot,
     matrix_of_images,
     operator_rank,
+    parse_rational,
     rank,
     tensor_product,
 )
@@ -75,6 +76,16 @@ def test_basis_stores_an_exact_scalar_and_no_zero():
     two = LinComb.basis("k", Fraction(4, 2)).terms["k"]
     assert (two, type(two)) == (2, int)
     assert LinComb.basis("k", Fraction(1, 2)).terms == {"k": Fraction(1, 2)}
+
+
+def test_parse_rational_reads_fractions_and_decimals_but_no_exponent():
+    assert parse_rational("-3/7") == Fraction(-3, 7)
+    assert parse_rational(" 1.25 ") == Fraction(5, 4)
+    for text in ("1e400", "2E-5", "1.5e3"):
+        with pytest.raises(ValueError, match="exponent"):
+            parse_rational(text)
+    with pytest.raises(ZeroDivisionError):
+        parse_rational("1/0")
 
 
 def test_no_zero_coefficients_stored():

@@ -19,7 +19,6 @@ from dipterous.trees import (
     enumerate_forests,
     enumerate_nap,
     enumerate_trees,
-    graft,
     nap_graft,
     parse,
     parse_binary,
@@ -27,21 +26,19 @@ from dipterous.trees import (
     parse_tree,
 )
 
-V2 = graft([LEAF, LEAF])
+V2 = PlanarTree((LEAF, LEAF))
 
 
 def test_graft_basic():
     assert V2.degree == 2
-    assert graft([LEAF, LEAF, LEAF]) == corolla(3)
-    left_comb = graft([V2, LEAF])
+    assert PlanarTree((LEAF, LEAF, LEAF)) == corolla(3)
+    left_comb = PlanarTree((V2, LEAF))
     assert left_comb.degree == 3 and str(left_comb) == "((| |) |)"
 
 
 def test_graft_rejects_small():
     with pytest.raises(ValueError):
-        graft([LEAF])
-    with pytest.raises(ValueError):
-        graft([])
+        PlanarTree((LEAF,))
 
 
 def test_decompose_inverse():
@@ -75,7 +72,7 @@ def test_enumerate_forests_counts():
 def test_graft_decompose_roundtrip_all_degree_le_6():
     for n in range(2, 7):
         for t in enumerate_trees(n):
-            assert graft(t.children) == t
+            assert PlanarTree(t.children) == t
 
 
 def test_corolla():
@@ -161,7 +158,7 @@ forests = st.lists(planar_trees, min_size=1, max_size=3).map(lambda ts: Forest(t
 def test_planar_roundtrip_random(t):
     assert parse_tree(str(t)) == t
     if not t.is_leaf:
-        assert graft(t.children) == t
+        assert PlanarTree(t.children) == t
 
 
 @given(forests)

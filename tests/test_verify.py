@@ -1,9 +1,11 @@
 import ast
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 from dipterous import bialgebras, coproducts, verify
-from dipterous.bialgebras import blacktriangle_basis, vartriangle_basis
+from dipterous.bialgebras import UNIT, blacktriangle_basis, vartriangle_basis
+from dipterous.cli import main
 from dipterous.freealg import dipt_basis_of_degree, eval_basis, succ_basis
 from dipterous.linalg import LinComb
 from dipterous.trees import nap_graft
@@ -119,6 +121,30 @@ def test_flip_invariance_witness_is_the_first_failing_element(monkeypatch):
     checks = {c.name: c for c in coassoc_suite(3)}
     check = checks["cocommutative coproduct flip-invariant"]
     assert (check.ok, check.witness) == (False, "[(| (| |))] @ aaa")
+
+
+def test_reduction_witness_reports_a_leftover_unit_term(monkeypatch, capsys):
+    def with_extra_unit_term(key):
+        image = vartriangle_basis(key)
+        return image + LinComb.basis((UNIT, key)) if key.degree == 3 else image
+
+    monkeypatch.setattr(verify, "vartriangle_basis", with_extra_unit_term)
+    first = str(dipt_basis_of_degree(3)[0])
+    assert first == "[((| |) |)] @ aaa"
+    assert verify.reduction_agreement_witness(4) == first
+    # The command reports the mismatch as a witness instead of raising.
+    assert main(["verify", "bialgebra"]) == 1
+    out = capsys.readouterr().out
+    assert f"[FAIL] reduced semi-infinitesimal coproduct = delta -- witness: {first}" in out
+
+
+def test_pbw_tree_count_check_covers_every_requested_degree(monkeypatch):
+    report = coproducts.pbw_dim_check(6)
+    wrong_at_6 = replace(report, prim_dims=report.prim_dims[:5] + (report.prim_dims[5] + 1,))
+    monkeypatch.setattr(verify, "pbw_dim_check", lambda max_n: wrong_at_6)
+    check = pbw_suite(6)[0]
+    assert check.name == "primitive dims are the tree counts"
+    assert not check.ok and "computed [1, 1, 3, 11, 45, 198]" in check.witness
 
 
 def test_antipode_witness_names_the_antipode_that_fails(monkeypatch):
