@@ -40,7 +40,9 @@ COMMANDS = [
     ["verify", "coassoc", "--json"],
     ["verify", "coassoc", "--max-degree", "6"],
     ["homology", "--weight-cap", "5"],
+    *(["homology", "--weight-cap", w, *output] for w in ("1", "8") for output in ([], ["--json"])),
     ["dynamics", "scripts/data/substitution.grammar", "s", "4"],
+    ["dynamics", "scripts/data/substitution.grammar", "s", "4", "--json"],
     ["dynamics", "scripts/data/substitution.grammar", "zz", "2"],
     ["verify", "pbw", "--max-degree", "7"],
 ]

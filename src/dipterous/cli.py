@@ -193,17 +193,24 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
     except GrammarError as exc:
         print(f"grammar error: {exc}", file=sys.stderr)
         return 2
-    payload = {"steps": []}
-    lines = []
-    for step, state in enumerate(states):
-        mass = total_mass(state)
-        lines.append(f"step {step} (mass {mass}):")
-        lines.extend(f"  {word} : {m}" for word, m in distribution_rows(state))
-        payload["steps"].append(
-            {"step": step, "mass": str(mass), "distribution": distribution_json(state)}
-        )
-    _emit(args.json, payload, lines)
+    # Each state is summed and sorted once; the JSON payload and the text
+    # lines both read its rows.
+    steps = [(total_mass(state), distribution_rows(state)) for state in states]
+    payload = {
+        "steps": [
+            {"step": step, "mass": str(mass), "distribution": distribution_json(rows)}
+            for step, (mass, rows) in enumerate(steps)
+        ]
+    }
+    _emit(args.json, payload, _dynamics_lines(steps))
     return 0
+
+
+def _dynamics_lines(steps: list[tuple[Fraction, list[tuple[str, Fraction]]]]) -> Iterable[str]:
+    for step, (mass, rows) in enumerate(steps):
+        yield f"step {step} (mass {mass}):"
+        for word, m in rows:
+            yield f"  {word} : {m}"
 
 
 def fraction(text: str) -> Fraction:

@@ -264,5 +264,6 @@ def distribution_rows(state: WordElement) -> list[tuple[str, Fraction]]:
     return sorted(rows, key=lambda row: (-row[1], row[0]))
 
 
-def distribution_json(state: WordElement) -> list[dict]:
-    return [{"word": w, "mass": str(m)} for w, m in distribution_rows(state)]
+def distribution_json(rows: list[tuple[str, Fraction]]) -> list[dict]:
+    """The JSON form of ``distribution_rows``, in its order."""
+    return [{"word": w, "mass": str(m)} for w, m in rows]

@@ -23,9 +23,20 @@ certifies exactness above degree one, i.e. Betti numbers (1, 0, 0, ...)
 in arity 1 and zero in higher arities. Each Betti number is
 dim C - rank(d here) - rank(d one arity up) on a graded piece, with every
 rank taken once per report, from the basis images the d^2 check also uses.
-The faces of each basis chain are likewise computed once per report, into
-a table that the differentials, the d^2 check and the simplicial check
-share and that is freed with the report.
+
+The report computes on index chains rather than ChainKeys. It numbers the
+one-generator basis keys through its weight caps in text order; a chain is
+then the tuple (symbol code, slot index, ...), or (slot index,) in arity 1.
+Slot texts are prefix-free (a balanced bracketed forest, then one letter
+per leaf) and * < >, so tuple order is the text order of the ChainKeys,
+and ``chain_basis`` builds its ChainKeys from the same enumeration. A
+face replaces two adjacent slot indices by the index of their product,
+read from a per-report table keyed by (op, i, j), so each distinct slot
+pair is multiplied once. The faces of each chain are likewise computed
+once per report, into a table that the differentials, the d^2 check and
+the simplicial check share. The numbering and both tables are freed with
+the report. ChainKey, ``face_basis``, ``differential`` and
+``homology_rank`` remain the single-chain API and the oracle.
 
 ``koszul_report`` takes only the weight cap of its Betti table and face
 checks. The table's arity cap is ``MAX_ARITY`` (the face checks go one
@@ -39,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from typing import Callable, Iterable
+from typing import Callable, Hashable, Iterable
 
 from .linalg import LinComb, bilinear, linear, operator_rank
 from .freealg import (
@@ -56,6 +67,9 @@ from .trees import Forest, Interned, _compositions
 
 SYM_STAR = "*"
 SYM_SUCC = ">"
+# Symbol codes of index chains, which are also the op codes of slot
+# products: 0 is *, 1 is >.
+SYMBOLS = (SYM_STAR, SYM_SUCC)
 
 MAX_ARITY = 4
 HOMOTOPY_WEIGHT_CAP = 4
@@ -172,22 +186,57 @@ def chain(symbol: str | None, slots: Iterable[DiptBasis]) -> ChainKey:
     return ChainKey(symbol, slots)
 
 
+class _SlotNumbering:
+    """The one-generator basis keys of degree <= max_degree, numbered in
+    text order, and the index chains over them.
+
+    An index chain is ``(symbol code, slot index, ...)`` in arity >= 2, the
+    code being the symbol's position in ``SYMBOLS``, and ``(slot index,)``
+    in arity 1; tuple order is the text order of the ChainKeys (see the
+    module docstring).
+    """
+
+    def __init__(self, max_degree: int):
+        self.keys = sorted(
+            (b for n in range(1, max_degree + 1) for b in dipt_basis_of_degree(n)), key=str
+        )
+        self.index = {b: i for i, b in enumerate(self.keys)}
+        self.of_degree: list[list[int]] = [[] for _ in range(max_degree + 1)]
+        for i, b in enumerate(self.keys):
+            self.of_degree[b.degree].append(i)
+
+    def chains(self, arity: int, weight: int) -> list[tuple[int, ...]]:
+        """The index chains of one piece, in ``chain_basis`` order."""
+        if arity < 1 or weight < arity:
+            return []
+        if arity == 1:
+            return [(i,) for i in self.of_degree[weight]]
+        return sorted(
+            (sym, *slots)
+            for degrees in _compositions(weight, arity)
+            if len(degrees) == arity
+            for slots in product(*(self.of_degree[n] for n in degrees))
+            for sym in range(len(SYMBOLS))
+        )
+
+    def chain_key(self, t: tuple[int, ...]) -> ChainKey:
+        if len(t) == 1:
+            return ChainKey(None, (self.keys[t[0]],))
+        return ChainKey(SYMBOLS[t[0]], tuple(self.keys[i] for i in t[1:]))
+
+    def index_chain(self, key: ChainKey) -> tuple[int, ...]:
+        slots = tuple(self.index[s] for s in key.slots)
+        return slots if key.symbol is None else (SYMBOLS.index(key.symbol), *slots)
+
+
 @cache
 def chain_basis(arity: int, weight: int) -> tuple[ChainKey, ...]:
     """All basis chains of the given arity whose slot degrees sum to weight,
-    over the one-generator basis."""
+    over the one-generator basis, ordered by ``str``."""
     if arity < 1 or weight < arity:
         return ()
-    if arity == 1:
-        return tuple(ChainKey(None, (b,)) for b in dipt_basis_of_degree(weight))
-    out = [
-        ChainKey(sym, slots)
-        for degrees in _compositions(weight, arity)
-        if len(degrees) == arity
-        for slots in product(*map(dipt_basis_of_degree, degrees))
-        for sym in (SYM_STAR, SYM_SUCC)
-    ]
-    return tuple(sorted(out, key=str))
+    slots = _SlotNumbering(weight - arity + 1)
+    return tuple(map(slots.chain_key, slots.chains(arity, weight)))
 
 
 def face_basis(i: int, key: ChainKey) -> ChainKey:
@@ -211,13 +260,16 @@ def _faces(key: ChainKey) -> tuple[ChainKey, ...]:
     return tuple(face_basis(i, key) for i in range(1, key.arity))
 
 
-def _alternating_sum(faces: Callable[[ChainKey], tuple[ChainKey, ...]], c: LinComb) -> LinComb:
-    """The differential of c, with each key's faces read from ``faces``."""
-    return LinComb(
-        (f, coeff if i % 2 == 0 else -coeff)
-        for key, coeff in c.items()
-        for i, f in enumerate(faces(key))
-    )
+def _alternating_sum(faces: Callable[[Hashable], tuple[Hashable, ...]], c: LinComb) -> LinComb:
+    """The differential of c, with each key's faces read from ``faces``,
+    accumulated into one dict."""
+    out: dict = {}
+    for key, coeff in c.items():
+        sign = coeff
+        for f in faces(key):
+            out[f] = out.get(f, 0) + sign
+            sign = -sign
+    return LinComb(out)
 
 
 def differential(c: LinComb) -> LinComb:
@@ -298,23 +350,48 @@ def koszul_report(weight_cap: int = 5) -> KoszulReport:
     """Exactness certificate: d^2 = 0, simplicial identities, dh + hd = id,
     and the Betti table on all graded pieces within the caps.
 
-    Each basis chain's faces are computed once, into a table local to the
-    report that the differentials, the d^2 check and the simplicial check
-    all read. Arity-1 chains have no faces and no entry; the arity loop
-    drops entries below arity - 1, which no later piece reads.
+    The report works on index chains (``_SlotNumbering``) over the basis
+    keys through the larger of its two weight caps. A face replaces two
+    adjacent slot indices by the index of their product, read from a
+    table keyed by ``(op, i, j)``, so ``star_basis``/``succ_basis`` run
+    once per distinct slot pair. Each chain's faces are computed once,
+    into a second table that the differentials, the d^2 check and the
+    simplicial check all read; the arity loop drops its entries below
+    arity - 1, which no later piece reads. ChainKeys are built only for
+    witness text and for the homotopy check. The numbering and both
+    tables are local to the report and freed with it.
     """
-    table: dict[ChainKey, tuple[ChainKey, ...]] = {}
+    slots = _SlotNumbering(max(weight_cap, HOMOTOPY_WEIGHT_CAP))
+    keys, index = slots.keys, slots.index
+    products: dict[tuple[int, int, int], int] = {}
+    table: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
 
-    def faces(key: ChainKey) -> tuple[ChainKey, ...]:
-        if key.arity == 1:
+    def faces(t: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        out = table.get(t)
+        if out is not None:
+            return out
+        n = len(t) - 1
+        if n == 0:
             return ()
-        out = table.get(key)
-        if out is None:
-            out = table[key] = _faces(key)
+        # Face i merges slots t[i] and t[i + 1]; only the last face of a
+        # > chain multiplies by >, and op codes are symbol codes.
+        out = []
+        for i in range(1, n):
+            op = t[0] if i == n - 1 else 0
+            pair = (op, t[i], t[i + 1])
+            p = products.get(pair)
+            if p is None:
+                merge = succ_basis if op else star_basis
+                p = products[pair] = index[merge(keys[t[i]], keys[t[i + 1]])]
+            out.append((p,) if n == 2 else t[:i] + (p,) + t[i + 2 :])
+        out = table[t] = tuple(out)
         return out
 
     def d(c: LinComb) -> LinComb:
         return _alternating_sum(faces, c)
+
+    def h(c: LinComb) -> LinComb:
+        return homotopy(c.map_keys(slots.chain_key)).map_keys(slots.index_chain)
 
     witness = None
 
@@ -322,43 +399,45 @@ def koszul_report(weight_cap: int = 5) -> KoszulReport:
     # check and its rank. Each rank serves as "here" at its arity and
     # "above" one arity down in the Betti table; a piece not visited is
     # empty or in arity 1, where d vanishes, and has rank 0.
+    size = {(1, weight): len(slots.of_degree[weight]) for weight in range(1, weight_cap + 1)}
     d_rank: dict[tuple[int, int], int] = {}
     square_zero_ok = True
     simplicial_ok = True
     for arity in range(2, MAX_ARITY + 2):
-        for key in [key for key in table if key.arity < arity - 1]:
-            del table[key]
+        for t in [t for t in table if len(t) < arity]:
+            del table[t]
         for weight in range(arity, weight_cap + 1):
-            basis = chain_basis(arity, weight)
+            basis = slots.chains(arity, weight)
+            size[arity, weight] = len(basis)
             images = [d(LinComb.basis(b)) for b in basis]
             for b, image in zip(basis, images):
                 if d(image):
                     square_zero_ok = False
-                    witness = witness or f"d^2 != 0 on {b}"
-                # Faces send basis chains to basis chains, and equal chains
-                # are one interned key.
+                    witness = witness or f"d^2 != 0 on {slots.chain_key(b)}"
                 fb = faces(b)
                 for i in range(1, arity):
                     for j in range(i + 1, arity):
-                        if faces(fb[j - 1])[i - 1] is not faces(fb[i - 1])[j - 2]:
+                        if faces(fb[j - 1])[i - 1] != faces(fb[i - 1])[j - 2]:
                             simplicial_ok = False
-                            witness = witness or f"d_{i} d_{j} != d_{j-1} d_{i} on {b}"
+                            witness = witness or (
+                                f"d_{i} d_{j} != d_{j-1} d_{i} on {slots.chain_key(b)}"
+                            )
             d_rank[arity, weight] = operator_rank(images)
 
     homotopy_ok = True
     for arity in range(2, HOMOTOPY_WEIGHT_CAP + 1):
         for weight in range(arity, HOMOTOPY_WEIGHT_CAP + 1):
-            for b in chain_basis(arity, weight):
+            for b in slots.chains(arity, weight):
                 x = LinComb.basis(b)
-                if d(homotopy(x)) + homotopy(d(x)) != x:
+                if d(h(x)) + h(d(x)) != x:
                     homotopy_ok = False
-                    witness = witness or f"dh + hd != id on {b}"
+                    witness = witness or f"dh + hd != id on {slots.chain_key(b)}"
 
     pieces = []
     betti_ok = True
     for arity in range(1, MAX_ARITY + 1):
         for weight in range(arity, weight_cap + 1):
-            kernel_dim = len(chain_basis(arity, weight)) - d_rank.get((arity, weight), 0)
+            kernel_dim = size[arity, weight] - d_rank.get((arity, weight), 0)
             image_rank = d_rank.get((arity + 1, weight), 0)
             betti = kernel_dim - image_rank
             expected = 1 if (arity == 1 and weight == 1) else 0

@@ -275,4 +275,4 @@ def test_distribution_rows_sorted_by_mass_then_word():
     )
     rows = distribution_rows(state)
     assert rows == [("ba", Fraction(1, 2)), ("aa", Fraction(1, 4)), ("ab", Fraction(1, 4))]
-    assert distribution_json(state)[0] == {"word": "ba", "mass": "1/2"}
+    assert distribution_json(rows)[0] == {"word": "ba", "mass": "1/2"}

@@ -1,13 +1,20 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from dipterous import homology
 from dipterous.linalg import LinComb
-from dipterous.freealg import AlgebraTarget, DiptBasis, eval_universal, generator, star_basis
+from dipterous.freealg import (
+    AlgebraTarget,
+    DiptBasis,
+    dipt_basis_of_degree,
+    eval_universal,
+    generator,
+    star_basis,
+)
 from dipterous.homology import (
-    HOMOTOPY_WEIGHT_CAP,
     ChainKey,
     KoszulReport,
     QNBasis,
@@ -292,47 +299,90 @@ def test_koszul_report_piece_table_at_weight_six():
     assert report.koszul_ok
 
 
-def _swapped_last_face(true_face):
-    def face_basis(i, key):
-        # The last face multiplies its two slots in the wrong order.
-        if i < key.arity - 1:
-            return true_face(i, key)
-        return chain(key.symbol, key.slots[:-2] + (star_basis(key.slots[-1], key.slots[-2]),))
-
-    return face_basis
+def _swapped_succ(a, b):
+    # The > product multiplies its two slots by * and in the wrong order;
+    # the report uses it only in the last face of a > chain.
+    return star_basis(b, a)
 
 
 def test_koszul_report_detects_a_wrong_last_face(monkeypatch):
-    monkeypatch.setattr(homology, "face_basis", _swapped_last_face(homology.face_basis))
+    monkeypatch.setattr(homology, "succ_basis", _swapped_succ)
     report = koszul_report(weight_cap=4)
     assert report.simplicial_ok is False
     assert not report.koszul_ok
-    assert report.witness == "d^2 != 0 on *<[(| |)] @ aa ; [|] @ a ; [|] @ a>"
+    assert report.witness == "d^2 != 0 on ><[(| |)] @ aa ; [|] @ a ; [|] @ a>"
     assert _flags(report) == (False, False, False, False)
 
 
-def test_koszul_report_faces_do_not_outlive_a_report(monkeypatch):
-    # A face table kept past the first report would hand the true faces
-    # to the second one and hide the wrong last face.
+def test_koszul_report_products_do_not_outlive_a_report(monkeypatch):
+    # A pair-product table kept past the first report would hand the true
+    # products to the second one and hide the wrong > product.
     assert koszul_report(weight_cap=4).simplicial_ok
-    monkeypatch.setattr(homology, "face_basis", _swapped_last_face(homology.face_basis))
+    monkeypatch.setattr(homology, "succ_basis", _swapped_succ)
     assert koszul_report(weight_cap=4).simplicial_ok is False
 
 
-def test_koszul_report_computes_each_face_once(monkeypatch):
-    true_face = homology.face_basis
+def test_koszul_report_computes_each_slot_product_once(monkeypatch):
     calls = Counter()
 
-    def counting_face(i, key):
-        calls[i, key] += 1
-        return true_face(i, key)
+    def counting(op, true_product):
+        def counted(a, b):
+            calls[op, a, b] += 1
+            return true_product(a, b)
 
-    monkeypatch.setattr(homology, "face_basis", counting_face)
+        return counted
+
+    monkeypatch.setattr(homology, "star_basis", counting("star", homology.star_basis))
+    monkeypatch.setattr(homology, "succ_basis", counting("succ", homology.succ_basis))
     assert koszul_report(weight_cap=6).koszul_ok
-    # Only the homotopy check, which runs after the arity loop has dropped
-    # the low arities from the face table, computes a face a second time.
-    repeated = [key for (i, key), n in calls.items() if n > 1]
-    assert max(calls.values()) <= 2
-    assert all(key.weight <= HOMOTOPY_WEIGHT_CAP for key in repeated)
-    assert len(calls) == 1948
-    assert sum(calls.values()) <= 2018
+    # Faces, the d^2, simplicial and homotopy checks all read one table.
+    assert set(calls.values()) == {1}
+    assert len(calls) == 786
+    assert Counter(op for op, _, _ in calls) == {"star": 393, "succ": 393}
+
+
+def _pieces(weight_cap: int):
+    """(arity, weight) of every nonempty piece the report visits."""
+    return [
+        (arity, weight)
+        for arity in range(1, homology.MAX_ARITY + 2)
+        for weight in range(arity, weight_cap + 1)
+    ]
+
+
+def test_index_chains_follow_the_text_order():
+    # The report's numbering through weight 7 enumerates each piece in the
+    # text order of its ChainKeys, which are exactly the piece's chains.
+    slots = homology._SlotNumbering(7)
+    for arity, weight in _pieces(7):
+        keys = [slots.chain_key(t) for t in slots.chains(arity, weight)]
+        texts = [str(key) for key in keys]
+        assert texts == sorted(set(texts))
+        expected = {
+            chain(sym, slots_)
+            for degrees in product(range(1, weight + 1), repeat=arity)
+            if sum(degrees) == weight
+            for slots_ in product(*map(dipt_basis_of_degree, degrees))
+            for sym in (SYM_STAR, SYM_SUCC)
+        }
+        assert set(keys) == expected
+        assert tuple(keys) == chain_basis(arity, weight)
+
+
+def test_index_chain_text_is_its_chain_key_text():
+    slots = homology._SlotNumbering(6)
+    for arity, weight in _pieces(6):
+        chains = slots.chains(arity, weight)
+        assert len(chains) == len(chain_basis(arity, weight))
+        for t, key in zip(chains, chain_basis(arity, weight)):
+            assert str(slots.chain_key(t)) == str(key)
+            assert slots.index_chain(key) == t
+
+
+def test_koszul_report_columns_match_the_chain_key_oracle():
+    for p in koszul_report(weight_cap=6).pieces:
+        arity, weight = p["arity"], p["weight"]
+        here = homology._differential_rank(arity, weight)
+        assert p["kernel"] == len(chain_basis(arity, weight)) - here
+        assert p["image"] == homology._differential_rank(arity + 1, weight)
+        assert p["betti"] == homology_rank(arity, weight)
