@@ -45,6 +45,8 @@ COMMANDS = [
     ["dynamics", "scripts/data/substitution.grammar", "s", "4", "--json"],
     ["dynamics", "scripts/data/substitution.grammar", "zz", "2"],
     ["verify", "pbw", "--max-degree", "7"],
+    # One degree past the benchmarked antipode table.
+    ["antipode", "7", "--max-degree", "7", "--json"],
 ]
 
 

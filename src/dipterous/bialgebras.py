@@ -32,7 +32,10 @@ pair of unit-extension keys it has seen. The antipode recursion, the tensor
 products behind both coproducts and ``convolve`` all multiply keys through
 it, so a pair's product is built once per process. ``_u_succ`` stays
 uncached: it is called far less often, from under images that are
-already cached per key.
+already cached per key. ``convolve`` reads f from an ``ImageMap`` and adds
+its products into one dict; a check builds one map from the antipode bound
+in this module at the time, so each image it reads is computed once, and
+drops the map when it returns.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import factorial
-from itertools import chain, permutations
+from itertools import permutations
 
 from .linalg import (
     LinComb,
@@ -211,12 +214,17 @@ def prim_2as(n: int) -> tuple[int, list[LinComb]]:
 
 @cache
 def _antipode_basis(key: DiptBasis, cop_basis) -> LinComb:
-    terms = (
-        (_u_star(k, b), -c * d)
-        for (a, b), c in reduced_basis(cop_basis, key).items()
-        for k, d in _antipode_basis(a, cop_basis).items()
-    )
-    return LinComb(chain([(key, -1)], terms))
+    # -key - sum S(a) * b over the reduced coproduct, whose unit terms
+    # 1 (x) key and key (x) 1 lose one each, added up in one dict.
+    units = ((UNIT, key), (key, UNIT))
+    out: dict = {key: -1}
+    for (a, b), c in cop_basis(key).items():
+        c -= (a, b) in units
+        if c:
+            for k, d in _antipode_basis(a, cop_basis).items():
+                p = _u_star(k, b)
+                out[p] = out.get(p, 0) - c * d
+    return LinComb(out)
 
 
 def _antipode_image(key, cop_basis) -> LinComb:
@@ -235,24 +243,50 @@ antipode_S = linear(lambda key: _antipode_image(key, blacktriangle_basis))
 antipode_Sprime = linear(lambda key: _antipode_image(key, vartriangle_basis))
 
 
-def convolve(f, cop, x: LinComb, side: str = "left") -> LinComb:
-    """star(f (x) id) cop (x), or star(id (x) f) for side='right'."""
+def antipode_and_coproduct(which: str):
+    """The antipode "S" or "Sprime" as bound in this module now, and the
+    lifted coproduct it inverts."""
+    if which not in ("S", "Sprime"):
+        raise ValueError(f"which must be 'S' or 'Sprime', got {which!r}")
+    return (antipode_S, blacktriangle) if which == "S" else (antipode_Sprime, vartriangle)
+
+
+class ImageMap(dict):
+    """key -> f(LinComb.basis(key)), each image computed on its first lookup."""
+
+    def __init__(self, f):
+        super().__init__()
+        self.f = f
+
+    def __missing__(self, key) -> LinComb:
+        image = self[key] = self.f(LinComb.basis(key))
+        return image
+
+
+def convolve(images: ImageMap, cop, x: LinComb, side: str = "left") -> LinComb:
+    """star(f (x) id) cop (x), or star(id (x) f) for side='right', where
+    ``images`` maps each slot key k to f(k)."""
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     left = side == "left"
-    return LinComb(
-        (_u_star(k, b) if left else _u_star(a, k), c * d)
-        for (a, b), c in cop(x).items()
-        for k, d in f(LinComb.basis(a if left else b)).items()
-    )
+    out: dict = {}
+    for (a, b), c in cop(x).items():
+        for k, d in images[a if left else b].items():
+            p = _u_star(k, b) if left else _u_star(a, k)
+            out[p] = out.get(p, 0) + c * d
+    return LinComb(out)
+
+
+def convolution_identities_hold(images: ImageMap, cop, x: LinComb) -> bool:
+    """Both sides of the convolution of ``images`` with id give counit(x)."""
+    expected = LinComb.basis(UNIT, counit(x))
+    return convolve(images, cop, x, "left") == expected == convolve(images, cop, x, "right")
 
 
 def antipode_identity_holds(x: LinComb, which: str = "S") -> bool:
     """Both convolution identities against the matching coproduct."""
-    f, cop = (antipode_S, blacktriangle) if which == "S" else (antipode_Sprime, vartriangle)
-    expected = LinComb.basis(UNIT, counit(x))
-    return (
-        convolve(f, cop, x, "left") == expected
-        and convolve(f, cop, x, "right") == expected
-    )
+    f, cop = antipode_and_coproduct(which)
+    return convolution_identities_hold(ImageMap(f), cop, x)
 
 
 def _unital_text(x: LinComb) -> str:

@@ -25,7 +25,7 @@ dim C - rank(d here) - rank(d one arity up) on a graded piece, with every
 rank taken once per report, from the basis images the d^2 check also uses.
 
 The report computes on index chains rather than ChainKeys. It numbers the
-one-generator basis keys through its weight caps in text order; a chain is
+one-generator basis keys through its weight cap in text order; a chain is
 then the tuple (symbol code, slot index, ...), or (slot index,) in arity 1.
 Slot texts are prefix-free (a balanced bracketed forest, then one letter
 per leaf) and * < >, so tuple order is the text order of the ChainKeys,
@@ -40,8 +40,8 @@ the report. ChainKey, ``face_basis``, ``differential`` and
 
 ``koszul_report`` takes only the weight cap of its Betti table and face
 checks. The table's arity cap is ``MAX_ARITY`` (the face checks go one
-arity higher), and the homotopy check runs up to weight
-``HOMOTOPY_WEIGHT_CAP``, which also bounds its arity, since a chain's
+arity higher), and the homotopy check runs up to the smaller of that cap
+and ``HOMOTOPY_WEIGHT_CAP``, which also bounds its arity, since a chain's
 arity never exceeds its weight.
 """
 
@@ -351,17 +351,19 @@ def koszul_report(weight_cap: int = 5) -> KoszulReport:
     and the Betti table on all graded pieces within the caps.
 
     The report works on index chains (``_SlotNumbering``) over the basis
-    keys through the larger of its two weight caps. A face replaces two
-    adjacent slot indices by the index of their product, read from a
-    table keyed by ``(op, i, j)``, so ``star_basis``/``succ_basis`` run
-    once per distinct slot pair. Each chain's faces are computed once,
-    into a second table that the differentials, the d^2 check and the
-    simplicial check all read; the arity loop drops its entries below
-    arity - 1, which no later piece reads. ChainKeys are built only for
-    witness text and for the homotopy check. The numbering and both
-    tables are local to the report and freed with it.
+    keys through ``weight_cap``, and checks dh + hd = id through the
+    smaller of its two weight caps, so no check covers a piece the table
+    does not print. A face replaces two adjacent slot indices by the index
+    of their product, read from a table keyed by ``(op, i, j)``, so
+    ``star_basis``/``succ_basis`` run once per distinct slot pair. Each
+    chain's faces are computed once, into a second table that the
+    differentials, the d^2 check and the simplicial check all read; the
+    arity loop drops its entries below arity - 1, which no later piece
+    reads. ChainKeys are built only for witness text and for the homotopy
+    check. The numbering and both tables are local to the report and
+    freed with it.
     """
-    slots = _SlotNumbering(max(weight_cap, HOMOTOPY_WEIGHT_CAP))
+    slots = _SlotNumbering(weight_cap)
     keys, index = slots.keys, slots.index
     products: dict[tuple[int, int, int], int] = {}
     table: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
@@ -425,8 +427,9 @@ def koszul_report(weight_cap: int = 5) -> KoszulReport:
             d_rank[arity, weight] = operator_rank(images)
 
     homotopy_ok = True
-    for arity in range(2, HOMOTOPY_WEIGHT_CAP + 1):
-        for weight in range(arity, HOMOTOPY_WEIGHT_CAP + 1):
+    homotopy_cap = min(weight_cap, HOMOTOPY_WEIGHT_CAP)
+    for arity in range(2, homotopy_cap + 1):
+        for weight in range(arity, homotopy_cap + 1):
             for b in slots.chains(arity, weight):
                 x = LinComb.basis(b)
                 if d(h(x)) + h(d(x)) != x:

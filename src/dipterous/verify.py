@@ -16,7 +16,8 @@ from fractions import Fraction
 from .linalg import LinComb, map_slot
 from .bialgebras import (
     UNIT,
-    antipode_identity_holds,
+    ImageMap,
+    antipode_and_coproduct,
     blacktriangle_basis,
     hopf_delta_basis,
     prim_2as,
@@ -24,6 +25,7 @@ from .bialgebras import (
     semi_tensor_star,
     semi_tensor_succ,
     classical_tensor_succ,
+    convolution_identities_hold,
     tau,
     unital_star,
     unital_succ,
@@ -344,10 +346,14 @@ def reduction_agreement_witness(max_degree: int = 5) -> str | None:
 def antipode_witness(max_degree: int = 4) -> str | None:
     one = LinComb.basis(UNIT)
     for which in ("S", "Sprime"):
-        if not antipode_identity_holds(one, which):
+        # One image map per check, over the antipode bound now.
+        f, cop = antipode_and_coproduct(which)
+        images = ImageMap(f)
+        if not convolution_identities_hold(images, cop, one):
             return f"{which} on the unit"
         w = _first_basis_failure(
-            max_degree, lambda b: (antipode_identity_holds(LinComb.basis(b), which), True)
+            max_degree,
+            lambda b: (convolution_identities_hold(images, cop, LinComb.basis(b)), True),
         )
         if w:
             return f"{which}: {w}"

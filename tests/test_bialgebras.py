@@ -5,8 +5,11 @@ import pytest
 from dipterous.linalg import LinComb, linear
 from dipterous.bialgebras import (
     UNIT,
+    ImageMap,
+    _u_star,
     antipode_S,
     antipode_Sprime,
+    antipode_and_coproduct,
     antipode_identity_holds,
     antipode_table,
     blacktriangle,
@@ -14,6 +17,7 @@ from dipterous.bialgebras import (
     classical_tensor_succ,
     com_corestrict,
     com_symmetrize,
+    convolve,
     counit,
     hopf_delta,
     hopf_delta_basis,
@@ -199,6 +203,38 @@ def test_antipode_identities_two_sided_degree_le_4():
         for n in range(1, 5):
             for b in dipt_basis_of_degree(n):
                 assert antipode_identity_holds(LinComb.basis(b), which), (which, b)
+
+
+def _convolve_reference(f, cop, x: LinComb, side: str = "left") -> LinComb:
+    """The per-term convolution: f of each slot key, applied as it is met."""
+    left = side == "left"
+    return LinComb(
+        (_u_star(k, b) if left else _u_star(a, k), c * d)
+        for (a, b), c in cop(x).items()
+        for k, d in f(LinComb.basis(a if left else b)).items()
+    )
+
+
+@pytest.mark.parametrize(
+    "which, scale", [("S", 1), ("Sprime", 1), ("S", 2)], ids=["S", "Sprime", "2S"]
+)
+def test_convolve_matches_the_per_term_reference(which, scale):
+    antipode, cop = antipode_and_coproduct(which)
+    f = lambda x: scale * antipode(x)
+    images = ImageMap(f)
+    keys = [b for n in range(1, 6) for b in dipt_basis_of_degree(n)]
+    mixed = 2 * ONE + LinComb((b, Fraction(1, i + 1)) for i, b in enumerate(keys[:9]))
+    for x in [ONE, mixed] + [LinComb.basis(b) for b in keys]:
+        for side in ("left", "right"):
+            expected = _convolve_reference(f, cop, x, side)
+            assert convolve(images, cop, x, side) == expected, (side, x)
+
+
+def test_unknown_antipode_or_side_is_rejected():
+    with pytest.raises(ValueError, match="'s'"):
+        antipode_identity_holds(ONE, "s")
+    with pytest.raises(ValueError, match="'up'"):
+        convolve(ImageMap(antipode_S), blacktriangle, ONE, "up")
 
 
 def test_antipode_table_shape():

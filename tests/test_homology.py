@@ -341,6 +341,22 @@ def test_koszul_report_computes_each_slot_product_once(monkeypatch):
     assert Counter(op for op, _, _ in calls) == {"star": 393, "succ": 393}
 
 
+def test_koszul_report_checks_the_homotopy_only_within_its_weight_cap(monkeypatch):
+    true_homotopy = homology.homotopy
+    weights = Counter()
+
+    def recording(c: LinComb) -> LinComb:
+        weights.update(key.weight for key, _ in c.items())
+        return true_homotopy(c)
+
+    monkeypatch.setattr(homology, "homotopy", recording)
+    report = koszul_report(weight_cap=2)
+    assert report.koszul_ok
+    # Only the arity-2 chains of weight 2 and their differentials are
+    # peeled, not the weight-3 and weight-4 pieces the table never prints.
+    assert weights and max(weights) == 2
+
+
 def _pieces(weight_cap: int):
     """(arity, weight) of every nonempty piece the report visits."""
     return [

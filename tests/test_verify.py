@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -177,6 +178,21 @@ def test_antipode_witness_sees_a_wrong_shared_product(monkeypatch):
         assert verify.antipode_witness(4) == "S: [| |] @ aa"
     finally:
         clear_caches()
+
+
+def test_antipode_witness_computes_each_image_once_per_check(monkeypatch):
+    S = bialgebras.antipode_S
+    calls = Counter()
+
+    def counted(x: LinComb) -> LinComb:
+        calls.update(key for key, _ in x.items())
+        return S(x)
+
+    monkeypatch.setattr(bialgebras, "antipode_S", counted)
+    assert verify.antipode_witness(5) is None
+    keys = [UNIT] + [b for n in range(1, 6) for b in dipt_basis_of_degree(n)]
+    # Each image comes from the check's map: one call per distinct key.
+    assert calls == Counter(keys)
 
 
 def _imported_modules(path):
