@@ -24,18 +24,20 @@ generator image 1 (x) g + g (x) 1. The unital semi-infinitesimal one (whose
 reduction coincides with the nonunital coproduct in ``coproducts``) is not
 a morphism and has its own recursion over the canonical basis splitting.
 Each coproduct has an antipode-style convolution inverse computed by degree
-recursion. Both recursions are cached per argument tuple under
-``functools.cache``; the antipode's key includes the coproduct it inverts.
+recursion, which also fixes the unit. Both recursions are cached per
+argument tuple under ``functools.cache``; the antipode's key includes the
+coproduct it inverts.
 
 The slot product ``_u_star`` is one more cache: it holds the product of each
 pair of unit-extension keys it has seen. The antipode recursion, the tensor
-products behind both coproducts and ``convolve`` all multiply keys through
-it, so a pair's product is built once per process. ``_u_succ`` stays
+products behind both coproducts and ``convolutions`` all multiply keys
+through it, so a pair's product is built once per process. ``_u_succ`` stays
 uncached: it is called far less often, from under images that are
-already cached per key. ``convolve`` reads f from an ``ImageMap`` and adds
-its products into one dict; a check builds one map from the antipode bound
-in this module at the time, so each image it reads is computed once, and
-drops the map when it returns.
+already cached per key. ``convolutions`` walks a coproduct once and adds
+both sides of the convolution with f, each into its own dict, reading f
+from an ``ImageMap``; a check builds one map from the antipode bound in this
+module at the time, so each image it reads is computed once, and drops the
+map when it returns.
 """
 
 from __future__ import annotations
@@ -213,9 +215,12 @@ def prim_2as(n: int) -> tuple[int, list[LinComb]]:
 
 
 @cache
-def _antipode_basis(key: DiptBasis, cop_basis) -> LinComb:
-    # -key - sum S(a) * b over the reduced coproduct, whose unit terms
-    # 1 (x) key and key (x) 1 lose one each, added up in one dict.
+def _antipode_basis(key, cop_basis) -> LinComb:
+    """The antipode of one unit-extension key for ``cop_basis``: 1 on the
+    unit, else -key - sum S(a) * b over the reduced coproduct, whose unit
+    terms 1 (x) key and key (x) 1 lose one each, added up in one dict."""
+    if key == UNIT:
+        return LinComb.basis(UNIT)
     units = ((UNIT, key), (key, UNIT))
     out: dict = {key: -1}
     for (a, b), c in cop_basis(key).items():
@@ -227,20 +232,15 @@ def _antipode_basis(key: DiptBasis, cop_basis) -> LinComb:
     return LinComb(out)
 
 
-def _antipode_image(key, cop_basis) -> LinComb:
-    """The antipode of one key for ``cop_basis``; the unit is fixed."""
-    return LinComb.basis(UNIT) if key == UNIT else _antipode_basis(key, cop_basis)
-
-
 # Each antipode is one linear extension, built once. Its key map reads the
 # coproduct by global name at call time, so a coproduct rebound after import
 # (perfbench's tracer wraps both) is the one used.
 
 #: Convolution inverse of the identity for the multiplicative coproduct.
-antipode_S = linear(lambda key: _antipode_image(key, blacktriangle_basis))
+antipode_S = linear(lambda key: _antipode_basis(key, blacktriangle_basis))
 
 #: Convolution inverse for the semi-infinitesimal coproduct.
-antipode_Sprime = linear(lambda key: _antipode_image(key, vartriangle_basis))
+antipode_Sprime = linear(lambda key: _antipode_basis(key, vartriangle_basis))
 
 
 def antipode_and_coproduct(which: str):
@@ -263,48 +263,32 @@ class ImageMap(dict):
         return image
 
 
-def convolve(images: ImageMap, cop, x: LinComb, side: str = "left") -> LinComb:
-    """star(f (x) id) cop (x), or star(id (x) f) for side='right', where
-    ``images`` maps each slot key k to f(k)."""
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    left = side == "left"
-    out: dict = {}
+def convolutions(images: ImageMap, cop, x: LinComb) -> tuple[LinComb, LinComb]:
+    """star(f (x) id) cop(x) and star(id (x) f) cop(x), from one walk of
+    cop(x), where ``images`` maps each slot key k to f(k)."""
+    left: dict = {}
+    right: dict = {}
     for (a, b), c in cop(x).items():
-        for k, d in images[a if left else b].items():
-            p = _u_star(k, b) if left else _u_star(a, k)
-            out[p] = out.get(p, 0) + c * d
-    return LinComb(out)
-
-
-def convolution_identities_hold(images: ImageMap, cop, x: LinComb) -> bool:
-    """Both sides of the convolution of ``images`` with id give counit(x)."""
-    expected = LinComb.basis(UNIT, counit(x))
-    return convolve(images, cop, x, "left") == expected == convolve(images, cop, x, "right")
-
-
-def antipode_identity_holds(x: LinComb, which: str = "S") -> bool:
-    """Both convolution identities against the matching coproduct."""
-    f, cop = antipode_and_coproduct(which)
-    return convolution_identities_hold(ImageMap(f), cop, x)
-
-
-def _unital_text(x: LinComb) -> str:
-    """Report text ``scalar + body`` of a unit-extension element."""
-    body = LinComb((k, c) for k, c in x.items() if k != UNIT)
-    return f"{counit(x)} + {body!r}"
+        for k, d in images[a].items():
+            p = _u_star(k, b)
+            left[p] = left.get(p, 0) + c * d
+        for k, d in images[b].items():
+            p = _u_star(a, k)
+            right[p] = right.get(p, 0) + c * d
+    return LinComb(left), LinComb(right)
 
 
 def antipode_table(degree: int) -> dict:
-    """Both antipodes on every degree-n basis element, serialized."""
-    out = {}
-    for b in dipt_basis_of_degree(degree):
-        x = LinComb.basis(b)
-        out[str(b)] = {
-            "S": _unital_text(antipode_S(x)),
-            "Sprime": _unital_text(antipode_Sprime(x)),
+    """Both antipodes on every degree-n basis element, as report text
+    ``scalar + body``. The scalar is 0: every product adds degrees, so the
+    antipode of a key of positive degree has no unit term."""
+    return {
+        str(b): {
+            "S": f"0 + {antipode_S(LinComb.basis(b))!r}",
+            "Sprime": f"0 + {antipode_Sprime(LinComb.basis(b))!r}",
         }
-    return out
+        for b in dipt_basis_of_degree(degree)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ truncated power-series arithmetic.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 
@@ -96,16 +95,15 @@ def symmetric_inverse_dims(series: list[int], n: int) -> list[int]:
     """
     if len(series) < n:
         raise ValueError("need series coefficients up to order n")
-    product = [Fraction(1)] + [Fraction(0)] * n
+    product = [1] + [0] * n
     dims: list[int] = []
     for k in range(1, n + 1):
         p_k = series[k - 1] - product[k]
-        assert p_k == int(p_k)
-        p_k = int(p_k)
         dims.append(p_k)
-        # multiply the running product by (1 - x^k)^(-p_k)
-        factor = [Fraction(0)] * (n + 1)
+        # multiply the running product by (1 - x^k)^(-p_k), whose
+        # coefficients are binomials, so every step stays in int
+        factor = [0] * (n + 1)
         for j in range(0, n // k + 1):
-            factor[j * k] = Fraction(comb(p_k + j - 1, j)) if j else Fraction(1)
+            factor[j * k] = comb(p_k + j - 1, j) if j else 1
         product = series_mul(product, factor, n + 1)
     return dims

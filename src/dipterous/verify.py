@@ -25,7 +25,7 @@ from .bialgebras import (
     semi_tensor_star,
     semi_tensor_succ,
     classical_tensor_succ,
-    convolution_identities_hold,
+    convolutions,
     tau,
     unital_star,
     unital_succ,
@@ -344,16 +344,17 @@ def reduction_agreement_witness(max_degree: int = 5) -> str | None:
 
 
 def antipode_witness(max_degree: int = 4) -> str | None:
-    one = LinComb.basis(UNIT)
+    # Both convolutions of an antipode with id give counit(x) * 1: the unit
+    # on the unit, and 0 on every key of positive degree.
+    one, zero = LinComb.basis(UNIT), LinComb()
     for which in ("S", "Sprime"):
         # One image map per check, over the antipode bound now.
         f, cop = antipode_and_coproduct(which)
         images = ImageMap(f)
-        if not convolution_identities_hold(images, cop, one):
+        if convolutions(images, cop, one) != (one, one):
             return f"{which} on the unit"
         w = _first_basis_failure(
-            max_degree,
-            lambda b: (convolution_identities_hold(images, cop, LinComb.basis(b)), True),
+            max_degree, lambda b: (convolutions(images, cop, LinComb.basis(b)), (zero, zero))
         )
         if w:
             return f"{which}: {w}"

@@ -7,7 +7,7 @@ from pathlib import Path
 from dipterous import bialgebras, coproducts, verify
 from dipterous.bialgebras import UNIT, blacktriangle_basis, vartriangle_basis
 from dipterous.cli import main
-from dipterous.freealg import dipt_basis_of_degree, eval_basis, succ_basis
+from dipterous.freealg import basis_from_str, dipt_basis_of_degree, eval_basis, succ_basis
 from dipterous.linalg import LinComb
 from dipterous.trees import nap_graft
 from dipterous.verify import (
@@ -175,6 +175,30 @@ def test_antipode_witness_sees_a_wrong_shared_product(monkeypatch):
     monkeypatch.setattr(bialgebras, "_u_star", wrong_square)
     clear_caches()
     try:
+        assert verify.antipode_witness(4) == "S: [| |] @ aa"
+    finally:
+        clear_caches()
+
+
+def test_antipode_recursion_fixes_the_unit_under_a_wrong_shared_product(monkeypatch):
+    # The wrong square leaves a unit term in the reduced coproduct of
+    # [| |] @ aa; the recursion gives it S(1) = 1 and the check a witness.
+    g = dipt_basis_of_degree(1)[0]
+    u_star = bialgebras._u_star
+
+    def wrong_square(k1, k2):
+        return succ_basis(g, g) if (k1, k2) == (g, g) else u_star(k1, k2)
+
+    def clear_caches():
+        for fn in (u_star, bialgebras._antipode_basis, bialgebras.vartriangle_basis, eval_basis):
+            fn.cache_clear()
+
+    monkeypatch.setattr(bialgebras, "_u_star", wrong_square)
+    clear_caches()
+    try:
+        key = lambda text: LinComb.basis(basis_from_str(text))
+        expected = key("[(| |)] @ aa") - key("[| |] @ aa")
+        assert bialgebras.antipode_S(key("[| |] @ aa")) == expected
         assert verify.antipode_witness(4) == "S: [| |] @ aa"
     finally:
         clear_caches()
