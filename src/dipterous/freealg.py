@@ -80,9 +80,7 @@ def word_str(word: Sequence[int]) -> str:
 class DiptBasis(Interned):
     """Basis element: a forest tagged with one generator index per leaf.
 
-    Its text ``forest @ word`` is computed once, when the key is interned,
-    and stored in ``text``: reports and sorts print these keys far more
-    often than they build them.
+    Its text, which is also its repr, is ``forest @ word``.
     """
 
     __slots__ = ("forest", "word", "degree", "text")
@@ -95,12 +93,9 @@ class DiptBasis(Interned):
     def _derive(forest, word) -> tuple:
         if len(word) != forest.degree:
             raise ValueError("word length must equal the forest leaf count")
-        return (forest.degree, f"{forest} @ {word_str(word)}")
+        return (forest.degree, f"{forest.text} @ {word_str(word)}")
 
-    def __str__(self) -> str:
-        return self.text
-
-    __repr__ = __str__
+    __repr__ = Interned.__str__
 
     def split(self) -> tuple[str, DiptBasis, DiptBasis]:
         return decompose_basis(self)
@@ -243,25 +238,22 @@ def eval_universal(x: LinComb, target: AlgebraTarget):
 # Binary-tree model: root-gluing product and its one-sided partner.
 
 
-@dataclass(frozen=True)
-class LDiptBasis:
+class LDiptBasis(Interned):
     """Basis element: a binary tree of degree >= 1 with one letter per internal node."""
 
-    tree: BinaryTree
-    word: tuple[int, ...]
+    __slots__ = ("tree", "word", "degree", "text")
+    _fields = ("tree", "word")
 
-    def __post_init__(self):
-        if self.tree.degree < 1:
+    def __new__(cls, tree: BinaryTree, word: tuple[int, ...]):
+        return cls._intern((tree, word))
+
+    @staticmethod
+    def _derive(tree, word) -> tuple:
+        if tree.degree < 1:
             raise ValueError("the bare leaf is not a basis element")
-        if len(self.word) != self.tree.degree:
+        if len(word) != tree.degree:
             raise ValueError("word length must equal the internal degree")
-
-    @property
-    def degree(self) -> int:
-        return self.tree.degree
-
-    def __str__(self) -> str:
-        return f"{self.tree} @ {word_str(self.word)}"
+        return (tree.degree, f"{tree.text} @ {word_str(word)}")
 
     def split(self) -> tuple[str, LDiptBasis, LDiptBasis]:
         """(op, left, right) with op's product of the halves equal to self.
@@ -317,23 +309,19 @@ def rldipt_nearrow_basis(a: LDiptBasis, b: LDiptBasis) -> LDiptBasis:
 # Permutative/NAP pairs on labeled rooted trees.
 
 
-@dataclass(frozen=True)
-class PermNapBasis:
+class PermNapBasis(Interned):
     """A head tree paired with a multiset tail (empty tail = unit factor)."""
 
-    head: NapTree
-    tail: tuple[NapTree, ...] = ()
+    __slots__ = ("head", "tail", "text")
+    _fields = ("head", "tail")
 
-    def __post_init__(self):
-        object.__setattr__(self, "tail", tuple(sorted(self.tail, key=str)))
+    def __new__(cls, head: NapTree, tail: tuple[NapTree, ...] = ()):
+        return cls._intern((head, tuple(sorted(tail, key=str))))
 
-    @property
-    def degree(self) -> int:
-        return self.head.degree + sum(t.degree for t in self.tail)
-
-    def __str__(self) -> str:
-        tail = ",".join(str(t) for t in self.tail) if self.tail else "1"
-        return f"{self.head} @ {tail}"
+    @staticmethod
+    def _derive(head, tail) -> tuple:
+        tail_text = ",".join(t.text for t in tail) if tail else "1"
+        return (f"{head.text} @ {tail_text}",)
 
 
 def perm_nap_star_basis(a: PermNapBasis, b: PermNapBasis) -> PermNapBasis:

@@ -82,7 +82,7 @@ HOMOTOPY_WEIGHT_CAP = 4
 class QNBasis(Interned):
     """A nonempty word with an optional trailing generator tag."""
 
-    __slots__ = ("word", "tag", "degree")
+    __slots__ = ("word", "tag", "degree", "text")
     _fields = ("word", "tag")
 
     def __new__(cls, word: tuple[int, ...], tag: int | None = None):
@@ -92,11 +92,9 @@ class QNBasis(Interned):
     def _derive(word, tag) -> tuple:
         if not word:
             raise ValueError("words are nonempty")
-        return (len(word) + (0 if tag is None else 1),)
-
-    def __str__(self) -> str:
-        tag = "1" if self.tag is None else word_str((self.tag,))
-        return f"{word_str(self.word)} @ {tag}"
+        if tag is None:
+            return (len(word), f"{word_str(word)} @ 1")
+        return (len(word) + 1, f"{word_str(word)} @ {word_str((tag,))}")
 
     def split(self) -> tuple[str, QNBasis, QNBasis]:
         """(op, left, right) with op's product of the halves equal to self."""
@@ -153,7 +151,7 @@ def qn_dim_table(max_n: int) -> list[int]:
 class ChainKey(Interned):
     """Basis chain: a symbol with n >= 2 algebra slots, or a bare slot."""
 
-    __slots__ = ("symbol", "slots", "weight")
+    __slots__ = ("symbol", "slots", "weight", "text")
     _fields = ("symbol", "slots")
 
     def __new__(cls, symbol: str | None, slots: tuple[DiptBasis, ...]):
@@ -167,16 +165,13 @@ class ChainKey(Interned):
             raise ValueError("the symbol is carried exactly in arity >= 2")
         if symbol not in (None, SYM_STAR, SYM_SUCC):
             raise ValueError(f"unknown symbol {symbol!r}")
-        return (sum(s.degree for s in slots),)
+        if symbol is None:
+            return (slots[0].degree, slots[0].text)
+        return (sum(s.degree for s in slots), f"{symbol}<" + " ; ".join(s.text for s in slots) + ">")
 
     @property
     def arity(self) -> int:
         return len(self.slots)
-
-    def __str__(self) -> str:
-        if self.symbol is None:
-            return str(self.slots[0])
-        return f"{self.symbol}<" + " ; ".join(str(s) for s in self.slots) + ">"
 
 
 def chain(symbol: str | None, slots: Iterable[DiptBasis]) -> ChainKey:
@@ -207,8 +202,6 @@ class _SlotNumbering:
 
     def chains(self, arity: int, weight: int) -> list[tuple[int, ...]]:
         """The index chains of one piece, in ``chain_basis`` order."""
-        if arity < 1 or weight < arity:
-            return []
         if arity == 1:
             return [(i,) for i in self.of_degree[weight]]
         return sorted(

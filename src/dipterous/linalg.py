@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 Scalar = Fraction | int
 
@@ -116,9 +116,6 @@ class LinComb:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def __iter__(self) -> Iterator:
-        return iter(self.terms.items())
-
     def items(self):
         return self.terms.items()
 
@@ -148,9 +145,6 @@ class LinComb:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LinComb) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def map_keys(self, fn) -> "LinComb":
         """Relabel basis keys through ``fn`` (merging collisions)."""

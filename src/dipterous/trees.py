@@ -15,18 +15,19 @@ Each enumeration is computed once per argument tuple under ``functools.cache``
 and returned as an immutable tuple; ``cache_info``/``cache_clear`` on the
 function report and free it.
 
-Planar trees and forests, like the basis keys built on them elsewhere,
-are hash-consed (``Interned``): each distinct value is built once and kept
-in a per-class table, so equal keys are the same object, and hashing and
+Every tree and forest, like every basis key built on them elsewhere, is
+hash-consed (``Interned``): each distinct value is built once and kept in a
+per-class table, so equal keys are the same object, and hashing and
 equality are by identity and never walk a tree. The tables only grow. Each
-planar tree and forest also stores its encoding, so ``str`` and the sorts
-keyed on it never re-encode a tree.
+tree and forest also stores its degree and its encoding, built once from
+its parts' stored encodings, so ``str`` and the sorts keyed on it never
+re-encode a tree.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
-from functools import cache, cached_property
+from dataclasses import FrozenInstanceError
+from functools import cache
 from itertools import product
 
 
@@ -41,11 +42,13 @@ class Interned:
 
     A subclass names its fields in ``_fields`` and lists them first in
     ``__slots__``, followed by the values its static ``_derive(*fields)``
-    computes from them (raising ``ValueError`` on a bad shape); its
-    ``__new__`` builds every instance through ``_intern``. Each subclass
-    keeps one table from field tuples to instances, so equality and hashing
-    are the default identity ones and never recurse. Instances are
-    immutable, and copying or unpickling one returns the interned instance.
+    computes from them (raising ``ValueError`` on a bad shape); the last of
+    these is ``text``, the key's canonical encoding, which ``str`` returns.
+    Its ``__new__`` puts the fields in canonical form and builds every
+    instance through ``_intern``. Each subclass keeps one table from field
+    tuples to instances, so equality and hashing are the default identity
+    ones and never recurse. Instances are immutable, and copying or
+    unpickling one returns the interned instance.
     """
 
     __slots__ = ()
@@ -75,6 +78,9 @@ class Interned:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __str__(self) -> str:
+        return self.text
 
     def __repr__(self) -> str:
         args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -110,9 +116,6 @@ class PlanarTree(Interned):
     def is_leaf(self) -> bool:
         return not self.children
 
-    def __str__(self) -> str:
-        return self.text
-
 
 LEAF = PlanarTree()
 
@@ -135,36 +138,27 @@ class Forest(Interned):
     def __len__(self) -> int:
         return len(self.trees)
 
-    def __str__(self) -> str:
-        return self.text
 
-
-@dataclass(frozen=True)
-class BinaryTree:
+class BinaryTree(Interned):
     """A planar binary tree; degree counts internal nodes."""
 
-    left: "BinaryTree | None" = None
-    right: "BinaryTree | None" = None
+    __slots__ = ("left", "right", "degree", "text")
+    _fields = ("left", "right")
 
-    def __post_init__(self):
-        if (self.left is None) != (self.right is None):
+    def __new__(cls, left: BinaryTree | None = None, right: BinaryTree | None = None):
+        return cls._intern((left, right))
+
+    @staticmethod
+    def _derive(left, right) -> tuple:
+        if (left is None) != (right is None):
             raise ValueError("binary nodes have exactly two children")
+        if left is None:
+            return (0, "|")
+        return (1 + left.degree + right.degree, f"({left.text} {right.text})")
 
     @property
     def is_leaf(self) -> bool:
         return self.left is None
-
-    @cached_property
-    def degree(self) -> int:
-        """Number of internal nodes."""
-        if self.is_leaf:
-            return 0
-        return 1 + self.left.degree + self.right.degree
-
-    def __str__(self) -> str:
-        if self.is_leaf:
-            return "|"
-        return f"({self.left} {self.right})"
 
 
 BLEAF = BinaryTree()
@@ -172,28 +166,23 @@ BLEAF = BinaryTree()
 Y1 = BinaryTree(BLEAF, BLEAF)
 
 
-@dataclass(frozen=True)
-class NapTree:
+class NapTree(Interned):
     """A labeled rooted tree with no planarity: children form a multiset.
 
-    Children are stored sorted by their encodings, so equal trees compare
-    and hash equal; the degree is the number of nodes.
+    Children are sorted by their encodings before interning, so trees that
+    differ only in child order are one object; the degree counts nodes.
     """
 
-    label: str
-    children: tuple["NapTree", ...] = ()
+    __slots__ = ("label", "children", "degree", "text")
+    _fields = ("label", "children")
 
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(sorted(self.children, key=str)))
+    def __new__(cls, label: str, children: tuple[NapTree, ...] = ()):
+        return cls._intern((label, tuple(sorted(children, key=str))))
 
-    @cached_property
-    def degree(self) -> int:
-        return 1 + sum(c.degree for c in self.children)
-
-    def __str__(self) -> str:
-        if not self.children:
-            return self.label
-        return self.label + "[" + ",".join(str(c) for c in self.children) + "]"
+    @staticmethod
+    def _derive(label, children) -> tuple:
+        text = label + "[" + ",".join(c.text for c in children) + "]" if children else label
+        return (1 + sum(c.degree for c in children), text)
 
 
 def corolla(n: int) -> PlanarTree:
