@@ -45,8 +45,9 @@ COMMANDS = [
     ["dynamics", "scripts/data/substitution.grammar", "s", "4", "--json"],
     ["dynamics", "scripts/data/substitution.grammar", "zz", "2"],
     ["verify", "pbw", "--max-degree", "7"],
-    # One degree past the benchmarked antipode table.
+    # One degree past the benchmarked antipode table and primitive run.
     ["antipode", "7", "--max-degree", "7", "--json"],
+    ["prim", "semiinf", "--max-degree", "8", "--json"],
 ]
 
 

@@ -31,13 +31,13 @@ coproduct it inverts.
 The slot product ``_u_star`` is one more cache: it holds the product of each
 pair of unit-extension keys it has seen. The antipode recursion, the tensor
 products behind both coproducts and ``convolutions`` all multiply keys
-through it, so a pair's product is built once per process. ``_u_succ`` stays
-uncached: it is called far less often, from under images that are
-already cached per key. ``convolutions`` walks a coproduct once and adds
-both sides of the convolution with f, each into its own dict, reading f
-from an ``ImageMap``; a check builds one map from the antipode bound in this
-module at the time, so each image it reads is computed once, and drops the
-map when it returns.
+through it, so a pair's product is built once per process. ``_u_succ`` has
+no table of its own: it handles the unit and multiplies two basis keys
+through the cached ``freealg.succ_basis``. ``convolutions`` walks a
+coproduct once and adds both sides of the convolution with f, each into
+its own dict, reading f from an ``ImageMap``; a check builds one map from
+the antipode bound in this module at the time, so each image it reads is
+computed once, and drops the map when it returns.
 """
 
 from __future__ import annotations

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain
 from typing import Iterator, Sequence
 
 from .linalg import (
@@ -60,13 +59,15 @@ def delta_basis(x: DiptBasis) -> LinComb:
         return LinComb()
     op, left, right = decompose_basis(x)
     op_basis = star_basis if op == OP_STAR else succ_basis
-    return LinComb(
-        chain(
-            (((a, op_basis(b, right)), c) for (a, b), c in delta_basis(left).items()),
-            (((star_basis(left, a), b), c) for (a, b), c in delta_basis(right).items()),
-            [((left, right), 1)],
-        )
-    )
+    out: dict = {}
+    for (a, b), c in delta_basis(left).items():
+        k = (a, op_basis(b, right))
+        out[k] = out.get(k, 0) + c
+    for (a, b), c in delta_basis(right).items():
+        k = (star_basis(left, a), b)
+        out[k] = out.get(k, 0) + c
+    out[left, right] = out.get((left, right), 0) + 1
+    return LinComb(out)
 
 
 delta = linear(lambda key: delta_basis(key))
@@ -107,6 +108,8 @@ def delta_iter(x: LinComb, n: int) -> LinComb:
 
 def _delta_iter_images(r: int, basis: list[DiptBasis]) -> Iterator[LinComb]:
     """Images of the r-fold iterated coproduct on an ordered basis."""
+    if r == 1:
+        return map(delta_basis, basis)
     return (delta_iter(LinComb.basis(b), r) for b in basis)
 
 

@@ -24,9 +24,10 @@ evaluator serves the three free algebras. Morphic coproducts elsewhere are
 this evaluation into a tensor square. Targets hash by identity, so two
 targets never share cached images.
 
-The splitting, the basis enumerations and ``eval_basis`` are computed once
-per argument tuple under ``functools.cache``; ``cache_info``/``cache_clear``
-on the function report and free them.
+The splitting, the basis enumerations, the key products ``star_basis`` and
+``succ_basis`` (shared by every module that multiplies keys) and
+``eval_basis`` are computed once per argument tuple under ``functools.cache``;
+``cache_info``/``cache_clear`` on the function report and free them.
 """
 
 from __future__ import annotations
@@ -118,6 +119,7 @@ def basis_from_str(text: str) -> DiptBasis:
     return DiptBasis(parse_forest(forest_text), tuple(gen_index(c) for c in word_text))
 
 
+@cache
 def star_basis(a: DiptBasis, b: DiptBasis) -> DiptBasis:
     return DiptBasis(Forest(a.forest.trees + b.forest.trees), a.word + b.word)
 
@@ -134,6 +136,7 @@ def _branches(f: Forest) -> tuple[PlanarTree, ...]:
     return (PlanarTree(f.trees),)
 
 
+@cache
 def succ_basis(a: DiptBasis, b: DiptBasis) -> DiptBasis:
     tree = PlanarTree(a.forest.trees + _branches(b.forest))
     return DiptBasis(Forest((tree,)), a.word + b.word)
@@ -178,11 +181,12 @@ def decompose_basis(x: DiptBasis) -> tuple[str, DiptBasis, DiptBasis]:
 
 @cache
 def dipt_basis_of_degree(n: int) -> tuple[DiptBasis, ...]:
-    """All degree-n basis elements over one generator, canonically ordered."""
+    """All degree-n basis elements over one generator, in text order: forest
+    texts are prefix-free, so a common suffix keeps ``enumerate_forests``' order."""
     if n < 1:
         raise ValueError("degree must be >= 1")
     word = (0,) * n
-    return tuple(sorted((DiptBasis(f, word) for f in enumerate_forests(n)), key=str))
+    return tuple(DiptBasis(f, word) for f in enumerate_forests(n))
 
 
 def reflect_tree(t: PlanarTree) -> PlanarTree:

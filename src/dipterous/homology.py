@@ -31,12 +31,13 @@ Slot texts are prefix-free (a balanced bracketed forest, then one letter
 per leaf) and * < >, so tuple order is the text order of the ChainKeys,
 and ``chain_basis`` builds its ChainKeys from the same enumeration. A
 face replaces two adjacent slot indices by the index of their product,
-read from a per-report table keyed by (op, i, j), so each distinct slot
-pair is multiplied once. The faces of each chain are likewise computed
-once per report, into a table that the differentials, the d^2 check and
-the simplicial check share. The numbering and both tables are freed with
-the report. ChainKey, ``face_basis``, ``differential`` and
-``homology_rank`` remain the single-chain API and the oracle.
+read from the process-wide product tables ``freealg.star_basis`` and
+``succ_basis``, so each distinct slot pair is multiplied once. The faces
+of each chain are computed once per report, into a table that the
+differentials, the d^2 check and the simplicial check share. The
+numbering and the face table are freed with the report. ChainKey,
+``face_basis``, ``differential`` and ``homology_rank`` remain the
+single-chain API and the oracle.
 
 ``koszul_report`` takes only the weight cap of its Betti table and face
 checks. The table's arity cap is ``MAX_ARITY`` (the face checks go one
@@ -347,18 +348,16 @@ def koszul_report(weight_cap: int = 5) -> KoszulReport:
     keys through ``weight_cap``, and checks dh + hd = id through the
     smaller of its two weight caps, so no check covers a piece the table
     does not print. A face replaces two adjacent slot indices by the index
-    of their product, read from a table keyed by ``(op, i, j)``, so
-    ``star_basis``/``succ_basis`` run once per distinct slot pair. Each
-    chain's faces are computed once, into a second table that the
-    differentials, the d^2 check and the simplicial check all read; the
-    arity loop drops its entries below arity - 1, which no later piece
-    reads. ChainKeys are built only for witness text and for the homotopy
-    check. The numbering and both tables are local to the report and
-    freed with it.
+    of their product, which the cached ``star_basis``/``succ_basis`` build
+    once per distinct slot pair and process. Each chain's faces are
+    computed once, into a table that the differentials, the d^2 check and
+    the simplicial check all read; the arity loop drops its entries below
+    arity - 1, which no later piece reads. ChainKeys are built only for
+    witness text and for the homotopy check. The numbering and the face
+    table are local to the report and freed with it.
     """
     slots = _SlotNumbering(weight_cap)
     keys, index = slots.keys, slots.index
-    products: dict[tuple[int, int, int], int] = {}
     table: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
 
     def faces(t: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -373,11 +372,7 @@ def koszul_report(weight_cap: int = 5) -> KoszulReport:
         out = []
         for i in range(1, n):
             op = t[0] if i == n - 1 else 0
-            pair = (op, t[i], t[i + 1])
-            p = products.get(pair)
-            if p is None:
-                merge = succ_basis if op else star_basis
-                p = products[pair] = index[merge(keys[t[i]], keys[t[i + 1]])]
+            p = index[(succ_basis if op else star_basis)(keys[t[i]], keys[t[i + 1]])]
             out.append((p,) if n == 2 else t[:i] + (p,) + t[i + 2 :])
         out = table[t] = tuple(out)
         return out

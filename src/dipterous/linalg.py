@@ -34,6 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
@@ -262,9 +263,12 @@ def _echelon(rows: list[dict[int, Scalar]], ncols: int) -> tuple[list[dict[int, 
 
     Each row is first divided in place by its content (the gcd of its
     numerators over the lcm of its denominators), which leaves a primitive
-    integer vector spanning the same line. A matrix whose pivots are then
-    all units, such as t * M for a rational t != 0 and an integer M with
-    unit pivots, is eliminated without a ``Fraction``. A column -> row-id index
+    integer vector spanning the same line. The content of an all-``int``
+    row is one ``gcd`` over its values; a row holding a ``Fraction`` makes
+    that call raise ``TypeError`` and takes the numerator and denominator
+    path. A matrix whose pivots are then all units, such as t * M for a
+    rational t != 0 and an integer M with unit pivots, is eliminated
+    without a ``Fraction``. A column -> row-id index
     (lists that may hold stale or repeated ids, filtered when read) finds
     the candidate rows of each column. The pivot is a candidate with a +-1
     entry, fewest nonzeros first; elimination runs below the pivot only.
@@ -275,8 +279,11 @@ def _echelon(rows: list[dict[int, Scalar]], ncols: int) -> tuple[list[dict[int, 
     """
     index: list[list[int]] = [[] for _ in range(ncols)]
     for i, row in enumerate(rows):
-        num = gcd(*(c.numerator for c in row.values()))
-        den = lcm(*(c.denominator for c in row.values()))
+        try:
+            num, den = gcd(*row.values()), 1
+        except TypeError:
+            num = gcd(*(c.numerator for c in row.values()))
+            den = lcm(*(c.denominator for c in row.values()))
         if num != 1 or den != 1:
             for j, c in row.items():
                 row[j] = c.numerator // num * (den // c.denominator)
@@ -329,7 +336,7 @@ def rank(rows: Iterable[Mapping]) -> int:
     fill-in stays low (the Markowitz heuristic, restricted to columns).
     """
     rows = list(rows)
-    count = Counter(k for row in rows for k in row)
+    count = Counter(chain.from_iterable(rows))
     col = {k: j for j, k in enumerate(sorted(count, key=count.__getitem__))}
     fresh = [{col[k]: c for k, c in row.items() if c} for row in rows]
     del rows  # a generator's rows are not held during elimination

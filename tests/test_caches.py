@@ -13,6 +13,8 @@ CACHES = (
     trees.enumerate_forests,
     trees.enumerate_binary,
     trees._enumerate_nap,
+    freealg.star_basis,
+    freealg.succ_basis,
     freealg.decompose_basis,
     freealg.dipt_basis_of_degree,
     freealg.ldipt_basis_of_degree,
@@ -45,6 +47,12 @@ def unit_pairs(n: int) -> list:
     return [(a, b) for i, a in keys for j, b in keys if i + j <= n]
 
 
+def basis_pairs(n: int) -> list:
+    """Every pair of basis keys of total degree <= n."""
+    keys = basis_up_to(n)
+    return [(a, b) for a in keys for b in keys if a.degree + b.degree <= n]
+
+
 def images(order) -> dict:
     """Every cached value up to MAX_DEGREE, computed step by step in ``order``."""
     elems = lambda: [LinComb.basis(b) for b in basis_up_to(MAX_DEGREE)]
@@ -64,6 +72,9 @@ def images(order) -> dict:
         "Sprime": lambda: [bialgebras.antipode_Sprime(x) for x in elems()],
         "vartriangle": lambda: [bialgebras.vartriangle_basis(b) for b in basis_up_to(MAX_DEGREE)],
         "u_star": lambda: [bialgebras._u_star(a, b) for a, b in unit_pairs(MAX_DEGREE)],
+        "products": lambda: [
+            (freealg.star_basis(a, b), freealg.succ_basis(a, b)) for a, b in basis_pairs(MAX_DEGREE)
+        ],
     }
     assert set(order) == set(steps)
     return {name: steps[name]() for name in order}
@@ -81,7 +92,7 @@ def test_every_cache_is_listed():
 
 def test_values_do_not_depend_on_cache_state():
     order = [
-        "S", "Sprime", "u_star", "delta", "e", "vartriangle",
+        "S", "Sprime", "u_star", "products", "delta", "e", "vartriangle",
         "chains", "nap", "binary", "forests", "trees",
     ]
     clear_caches()
@@ -108,6 +119,16 @@ def test_delta_keeps_one_entry_per_key_whatever_t():
             coproducts.filtration_dim(1, n, t)
     # The forests of degree <= 6; a cache keyed by t as well would hold 1030.
     assert coproducts.delta_basis.cache_info().currsize == 515
+
+
+def test_primitive_ranks_build_each_key_product_once():
+    clear_caches()
+    for n in range(1, 8):
+        coproducts.filtration_dim(1, n)
+    # The coproduct recursion through degree 7 multiplies 393 distinct key
+    # pairs under star and 257 under succ, each built on its first call.
+    assert freealg.star_basis.cache_info().misses == 393
+    assert freealg.succ_basis.cache_info().misses == 257
 
 
 def test_nap_trees_keep_one_entry_per_degree_and_alphabet():

@@ -160,6 +160,14 @@ def test_delta_scales_linearly_in_t():
                 assert _delta_t_reference(b, t) == t * delta_basis(b)
 
 
+def test_delta_basis_matches_the_reference_term_for_term():
+    # The one-dict recursion keeps the reference's terms and their order
+    # of first appearance, one degree past the scaling test.
+    for n in range(1, 7):
+        for b in dipt_basis_of_degree(n):
+            assert list(_delta_t_reference(b, 1).items()) == list(delta_basis(b).items())
+
+
 def test_tensor_repr_prints_basis_text():
     te = delta(LinComb.basis(dipt_basis_of_degree(3)[0]))
     assert te

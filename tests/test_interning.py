@@ -260,7 +260,9 @@ def test_repr_is_the_field_form():
 def test_cached_bases_are_shared_tuples():
     # Each enumeration hands every caller its one cached tuple; a tuple
     # cannot be changed, so no caller can corrupt the cache.
-    for enumerate_basis, args in ((dipt_basis_of_degree, (3,)), (chain_basis, (2, 4))):
+    # The degree-n bases keep the text order of enumerate_forests.
+    pieces = [(dipt_basis_of_degree, (n,)) for n in range(1, 8)] + [(chain_basis, (2, 4))]
+    for enumerate_basis, args in pieces:
         basis = enumerate_basis(*args)
         assert type(basis) is tuple and enumerate_basis(*args) is basis
         assert list(basis) == sorted(basis, key=str)

@@ -366,6 +366,16 @@ def test_content_division_gives_unit_pivots():
     rows, pivots = _echelon(SparseMatrix.from_rows([[2, 4], [3, 3]]).row_dicts(), 2)
     assert pivots == [0, 1]
     assert all(type(c) is int for row in rows for c in row.values())
+    # Negative integer content, a mixed int/Fraction row and an empty row.
+    negative = {0: -2, 1: -4}
+    mixed = {0: Fraction(1, 2), 1: 3}
+    for row, unit_rows in ((negative, [{0: 1, 1: 2}]), (mixed, [{0: 1, 1: 6}]), ({}, [])):
+        assert rank([row]) == len(unit_rows)
+        rows, pivots = _echelon([dict(row)], 2)
+        assert rows == unit_rows
+        assert pivots == [0] * len(unit_rows)
+        assert all(type(c) is int for r in rows for c in r.values())
+    assert rank([negative, mixed, {}]) == 2
 
 
 images_of_pqrst = st.fixed_dictionaries(
