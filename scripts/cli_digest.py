@@ -48,6 +48,9 @@ COMMANDS = [
     # One degree past the benchmarked antipode table and primitive run.
     ["antipode", "7", "--max-degree", "7", "--json"],
     ["prim", "semiinf", "--max-degree", "8", "--json"],
+    # One degree past `prim both --max-degree 6`; the cocommutative
+    # coproduct follows each key's split() through eval_basis.
+    ["prim", "hopf", "--max-degree", "7", "--json"],
 ]
 
 

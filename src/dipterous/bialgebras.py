@@ -60,7 +60,6 @@ from .freealg import (
     OP_STAR,
     AlgebraTarget,
     DiptBasis,
-    decompose_basis,
     dipt_basis_of_degree,
     eval_basis,
     generator,
@@ -136,7 +135,7 @@ def _pair(k1, k2) -> LinComb:
 def _square(tensor_star, tensor_succ) -> AlgebraTarget:
     """Tensor square sending each generator g to 1 (x) g + g (x) 1.
 
-    Generator indices range over 0..25, as in ``freealg.gen_name``.
+    Generator indices range over 0..25, as in ``freealg.word_str``.
     """
     gens = {i: _pair(UNIT, generator(i)) + _pair(generator(i), UNIT) for i in range(26)}
     return AlgebraTarget(tensor_star, tensor_succ, gens, LinComb())
@@ -156,7 +155,7 @@ def vartriangle_basis(x: DiptBasis) -> LinComb:
     """Unital semi-infinitesimal coproduct."""
     if x.degree == 1:
         return _pair(UNIT, x) + _pair(x, UNIT)
-    op, left, right = decompose_basis(x)
+    op, left, right = x.split()
     tensor_op = semi_tensor_star if op == OP_STAR else semi_tensor_succ
     return (
         tensor_op(vartriangle_basis(left), _pair(UNIT, right))

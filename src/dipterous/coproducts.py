@@ -41,7 +41,6 @@ from .linalg import (
 from .freealg import (
     OP_STAR,
     DiptBasis,
-    decompose_basis,
     dipt_basis_of_degree,
     gen_elem,
     star,
@@ -57,7 +56,7 @@ from .trees import LEAF, Forest, PlanarTree, corolla, enumerate_trees
 def delta_basis(x: DiptBasis) -> LinComb:
     if x.degree == 1:
         return LinComb()
-    op, left, right = decompose_basis(x)
+    op, left, right = x.split()
     op_basis = star_basis if op == OP_STAR else succ_basis
     out: dict = {}
     for (a, b), c in delta_basis(left).items():

@@ -8,7 +8,7 @@ trees whose leaf count matches the word length. The two operations are
   which always returns a single tree.
 
 Every basis element of degree >= 2 splits canonically into one of the two
-operations applied to smaller basis elements (``decompose_basis``); all
+operations applied to smaller basis elements (``DiptBasis.split``); all
 recursive structure downstream (coproducts, evaluations, homotopies) uses
 that single splitting. Variants on binary trees (with the root-gluing
 product) and the mirror-image right-handed structure, plus the
@@ -24,10 +24,12 @@ evaluator serves the three free algebras. Morphic coproducts elsewhere are
 this evaluation into a tensor square. Targets hash by identity, so two
 targets never share cached images.
 
-The splitting, the basis enumerations, the key products ``star_basis`` and
-``succ_basis`` (shared by every module that multiplies keys) and
-``eval_basis`` are computed once per argument tuple under ``functools.cache``;
-``cache_info``/``cache_clear`` on the function report and free them.
+The basis enumerations, the key products ``star_basis`` and ``succ_basis``
+(shared by every module that multiplies keys) and ``eval_basis`` are
+computed once per argument tuple under ``functools.cache``;
+``cache_info``/``cache_clear`` on the function report and free them. The
+splitting is not cached: each recursion that follows it caches its own
+images, so each recursion splits each key once.
 """
 
 from __future__ import annotations
@@ -60,11 +62,8 @@ OP_STAR = "star"
 OP_SUCC = "succ"
 
 
-def gen_name(i: int) -> str:
-    """Single-letter generator names: 0 -> 'a', 1 -> 'b', ..."""
-    if not 0 <= i < 26:
-        raise ValueError("generator indices range over 0..25")
-    return chr(ord("a") + i)
+#: Single-letter generator names: index 0 is 'a', 1 is 'b', ...
+LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 def gen_index(name: str) -> int:
@@ -75,7 +74,9 @@ def gen_index(name: str) -> int:
 
 
 def word_str(word: Sequence[int]) -> str:
-    return "".join(gen_name(i) for i in word)
+    if word and not 0 <= min(word) <= max(word) < 26:
+        raise ValueError("generator indices range over 0..25")
+    return "".join([LETTERS[i] for i in word])
 
 
 class DiptBasis(Interned):
@@ -99,7 +100,27 @@ class DiptBasis(Interned):
     __repr__ = Interned.__str__
 
     def split(self) -> tuple[str, DiptBasis, DiptBasis]:
-        return decompose_basis(self)
+        """Canonical splitting (op, left, right) of a degree >= 2 key.
+
+        A multi-tree forest splits off its first tree under ``star``. A
+        single tree t1 v ... v tk splits as (forest t1..t_{k-1}) succ
+        (branches of tk), with the branches of a leaf being the leaf itself.
+        Both factors have strictly smaller degree and the tagged operation
+        reproduces the key.
+        """
+        if self.degree < 2:
+            raise ValueError("generator has no decomposition")
+        trees, word = self.forest.trees, self.word
+        if len(trees) >= 2:
+            d = trees[0].degree
+            left = DiptBasis(Forest(trees[:1]), word[:d])
+            return (OP_STAR, left, DiptBasis(Forest(trees[1:]), word[d:]))
+        children = trees[0].children
+        last = children[-1]
+        d = self.degree - last.degree
+        left = DiptBasis(Forest(children[:-1]), word[:d])
+        branches = (last,) if last.is_leaf else last.children
+        return (OP_SUCC, left, DiptBasis(Forest(branches), word[d:]))
 
 
 def generator(i: int = 0) -> DiptBasis:
@@ -151,32 +172,6 @@ def prec_basis(a: DiptBasis, b: DiptBasis) -> DiptBasis:
 star = bilinear(star_basis)
 succ = bilinear(succ_basis)
 rdipt_prec = bilinear(prec_basis)
-
-
-@cache
-def decompose_basis(x: DiptBasis) -> tuple[str, DiptBasis, DiptBasis]:
-    """Canonical splitting of a degree >= 2 basis element.
-
-    A multi-tree forest splits off its first tree under ``star``. A single
-    tree t1 v ... v tk splits as (forest t1..t_{k-1}) succ (branches of tk),
-    with the branches of a leaf being the leaf itself. Both factors have
-    strictly smaller degree and the tagged operation reproduces the input.
-    """
-    if x.degree < 2:
-        raise ValueError("generator has no decomposition")
-    trees = x.forest.trees
-    if len(trees) >= 2:
-        d = trees[0].degree
-        left = DiptBasis(Forest(trees[:1]), x.word[:d])
-        right = DiptBasis(Forest(trees[1:]), x.word[d:])
-        return (OP_STAR, left, right)
-    children = trees[0].children
-    last = children[-1]
-    d = x.degree - last.degree
-    left = DiptBasis(Forest(children[:-1]), x.word[:d])
-    branches = (last,) if last.is_leaf else last.children
-    right = DiptBasis(Forest(branches), x.word[d:])
-    return (OP_SUCC, left, right)
 
 
 @cache
@@ -293,9 +288,11 @@ ldipt_succ = bilinear(ldipt_succ_basis)
 
 @cache
 def ldipt_basis_of_degree(n: int) -> tuple[LDiptBasis, ...]:
+    """All degree-n keys over one generator, in text order: binary-tree texts
+    are balanced, so prefix-free, and a common suffix keeps their order."""
     if n < 1:
         raise ValueError("degree must be >= 1")
-    return tuple(sorted((LDiptBasis(t, (0,) * n) for t in enumerate_binary(n)), key=str))
+    return tuple(LDiptBasis(t, (0,) * n) for t in enumerate_binary(n))
 
 
 def ldipt_reflect_tree(t: BinaryTree) -> BinaryTree:

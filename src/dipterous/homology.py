@@ -58,7 +58,6 @@ from .freealg import (
     OP_STAR,
     OP_SUCC,
     DiptBasis,
-    decompose_basis,
     dipt_basis_of_degree,
     star_basis,
     succ_basis,
@@ -285,7 +284,7 @@ def homotopy_basis(key: ChainKey) -> LinComb:
     trees = u.forest.trees
     sign = 1 if (n + 1) % 2 == 0 else -1
     if key.symbol in (SYM_SUCC, None) and len(trees) == 1 and not trees[0].is_leaf:
-        _, left, right = decompose_basis(u)
+        _, left, right = u.split()
         out_key = ChainKey(SYM_SUCC, key.slots[:-1] + (left, right))
         return LinComb.basis(out_key, sign)
     if key.symbol in (SYM_STAR, None) and len(trees) >= 2:

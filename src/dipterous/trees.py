@@ -11,9 +11,11 @@ Each kind of tree has one canonical text encoding, given by ``str`` and
 inverted by ``parse``, which doubles as its sort key. Enumerations are
 ordered by degree then lexicographically on encodings so downstream
 matrices are reproducible.
-Each enumeration is computed once per argument tuple under ``functools.cache``
-and returned as an immutable tuple; ``cache_info``/``cache_clear`` on the
-function report and free it.
+Every enumeration returns an immutable tuple. One keeps a
+``functools.cache`` only if it recurses, or if callers that do not memoize
+call it again with the same arguments; ``cache_info``/``cache_clear`` on the
+function report and free it. So ``enumerate_forests`` is not cached: its one
+repeated caller, ``freealg.dipt_basis_of_degree``, keeps one table per degree.
 
 Every tree and forest, like every basis key built on them elsewhere, is
 hash-consed (``Interned``): each distinct value is built once and kept in a
@@ -220,7 +222,6 @@ def enumerate_trees(n: int) -> tuple[PlanarTree, ...]:
     return tuple(sorted(found, key=str))
 
 
-@cache
 def enumerate_forests(n: int) -> tuple[Forest, ...]:
     """All forests of total degree n, sorted by encoding."""
     if n < 1:

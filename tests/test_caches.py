@@ -10,12 +10,10 @@ from dipterous.linalg import LinComb
 
 CACHES = (
     trees.enumerate_trees,
-    trees.enumerate_forests,
     trees.enumerate_binary,
     trees._enumerate_nap,
     freealg.star_basis,
     freealg.succ_basis,
-    freealg.decompose_basis,
     freealg.dipt_basis_of_degree,
     freealg.ldipt_basis_of_degree,
     freealg.eval_basis,

@@ -27,7 +27,6 @@ from dipterous.coproducts import (
 from dipterous.freealg import (
     OP_STAR,
     DiptBasis,
-    decompose_basis,
     dipt_basis_of_degree,
     gen_elem,
     star,
@@ -50,7 +49,7 @@ def _delta_t_reference(x: DiptBasis, t) -> LinComb:
     """Delta_t by its defining recursion, carrying t through every level."""
     if x.degree == 1:
         return LinComb()
-    op, left, right = decompose_basis(x)
+    op, left, right = x.split()
     op_basis = star_basis if op == OP_STAR else succ_basis
     return LinComb(
         chain(

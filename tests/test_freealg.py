@@ -11,7 +11,6 @@ from dipterous.freealg import (
     LDiptBasis,
     PermNapBasis,
     basis_from_str,
-    decompose_basis,
     dim_table,
     dipt_basis_of_degree,
     eval_basis,
@@ -34,7 +33,7 @@ from dipterous.freealg import (
     succ_basis,
     word_str,
 )
-from dipterous.homology import qn_star, qn_succ
+from dipterous.homology import QNBasis, qn_star, qn_succ
 from dipterous.series import composition_sum
 from dipterous.trees import (
     BLEAF,
@@ -78,23 +77,23 @@ def test_succ_always_single_tree_star_adds_tree_counts():
 
 
 def test_decompose_examples():
-    op, l, r = decompose_basis(be("[| |]", "ab"))
+    op, l, r = be("[| |]", "ab").split()
     assert (op, l, r) == ("star", be("[|]", "a"), be("[|]", "b"))
-    op, l, r = decompose_basis(be("[(| | (| |))]", "abcd"))
+    op, l, r = be("[(| | (| |))]", "abcd").split()
     assert (op, l, r) == ("succ", be("[| |]", "ab"), be("[| |]", "cd"))
-    op, l, r = decompose_basis(be("[(| |)]", "ab"))
+    op, l, r = be("[(| |)]", "ab").split()
     assert (op, l, r) == ("succ", be("[|]", "a"), be("[|]", "b"))
 
 
 def test_decompose_rejects_generators():
     with pytest.raises(ValueError):
-        decompose_basis(generator())
+        generator().split()
 
 
 def test_decompose_is_a_section_degree_le_7():
     for n in range(2, 8):
         for b in dipt_basis_of_degree(n):
-            op, l, r = decompose_basis(b)
+            op, l, r = b.split()
             assert l.degree + r.degree == n
             rebuilt = {OP_STAR: star, OP_SUCC: succ}[op](LinComb.basis(l), LinComb.basis(r))
             assert rebuilt == LinComb.basis(b)
@@ -116,6 +115,20 @@ def test_serialization_roundtrip():
         for b in dipt_basis_2(n):
             assert basis_from_str(str(b)) == b
     assert word_str((0, 1)) == "ab"
+
+
+@pytest.mark.parametrize("i", [26, -1])
+def test_generator_indices_outside_the_alphabet_are_rejected(i):
+    # Names come from a 26-letter string, so index -1 must not read as 'z'.
+    builders = [
+        generator,
+        lambda i: DiptBasis(parse_forest("[| |]"), (0, i)),
+        lambda i: QNBasis((i,)),
+        lambda i: QNBasis((0,), i),
+    ]
+    for build in builders:
+        with pytest.raises(ValueError, match="range over 0..25"):
+            build(i)
 
 
 def test_eval_universal_into_rationals():

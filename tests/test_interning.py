@@ -15,6 +15,7 @@ from dipterous.freealg import (
     PermNapBasis,
     basis_from_str,
     dipt_basis_of_degree,
+    ldipt_basis_of_degree,
     ldipt_generator,
     star_basis,
     word_str,
@@ -260,8 +261,10 @@ def test_repr_is_the_field_form():
 def test_cached_bases_are_shared_tuples():
     # Each enumeration hands every caller its one cached tuple; a tuple
     # cannot be changed, so no caller can corrupt the cache.
-    # The degree-n bases keep the text order of enumerate_forests.
+    # The degree-n bases keep the text order of enumerate_forests and
+    # enumerate_binary.
     pieces = [(dipt_basis_of_degree, (n,)) for n in range(1, 8)] + [(chain_basis, (2, 4))]
+    pieces += [(ldipt_basis_of_degree, (n,)) for n in range(1, 8)]
     for enumerate_basis, args in pieces:
         basis = enumerate_basis(*args)
         assert type(basis) is tuple and enumerate_basis(*args) is basis
