@@ -35,8 +35,11 @@ COMMANDS = [
     *(["prim", "semiinf", "--max-degree", "6", f"--t={t}"] for t in ("0", "1/2", "-3/7")),
     ["prim", "both", "--max-degree", "6"],
     ["dims", "all", "--max-degree", "7"],
+    # Tree and forest enumeration through degree 9 (41,586 forests).
+    ["dims", "all", "--max-degree", "9"],
     ["verify", "all"],
     ["verify", "all", "--json"],
+    ["verify", "axioms", "--json"],
     ["verify", "coassoc", "--json"],
     ["verify", "coassoc", "--max-degree", "6"],
     ["homology", "--weight-cap", "5"],

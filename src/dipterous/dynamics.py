@@ -10,8 +10,10 @@ right-handed one-sided axioms exactly; so do the operations derived from
 any right Baxter-Rota operator.
 
 Rewriting dynamics iterate (concatenate after cooperating): with
-stochastic weights (each symbol's rule weights are >= 0 and sum to one)
-every step preserves total mass exactly, since weights are rationals.
+stochastic weights (every symbol of the alphabet has rules, whose weights
+are >= 0 and sum to one) every step preserves total mass exactly, since
+weights are rationals. A symbol without rules sums to 0, so mass reaching
+it would vanish.
 
 File formats (bit-exact; a weight is ``p/q`` or a decimal, never exponent
 notation):
@@ -56,9 +58,13 @@ class CoopTable:
                     raise GrammarError(f"rule for {sym!r} uses unknown symbols")
 
     def check_stochastic(self):
-        for sym, options in self.rules.items():
+        """Every symbol's weights form a distribution; the first that does
+        not is named, the rule heads in file order before the symbols
+        without rules in sorted order."""
+        for sym in [*self.rules, *sorted(self.alphabet.difference(self.rules))]:
+            options = self.rules.get(sym, ())
             if not _is_distribution(options):
-                weights = ", ".join(str(w) for w, _ in options)
+                weights = ", ".join(str(w) for w, _ in options) or "no rules"
                 raise GrammarError(
                     f"weights for {sym!r} must be >= 0 and sum to 1, got {weights}; "
                     "pass free-weights mode to allow this"

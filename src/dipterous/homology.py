@@ -207,7 +207,6 @@ class _SlotNumbering:
         return sorted(
             (sym, *slots)
             for degrees in _compositions(weight, arity)
-            if len(degrees) == arity
             for slots in product(*(self.of_degree[n] for n in degrees))
             for sym in range(len(SYMBOLS))
         )

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
 from functools import cache
-from itertools import product
+from itertools import combinations, product
 
 
 class ParseError(ValueError):
@@ -194,17 +194,11 @@ def corolla(n: int) -> PlanarTree:
     return PlanarTree((LEAF,) * n)
 
 
-def _compositions(n: int, min_parts: int):
-    """Ordered compositions of n into >= min_parts positive parts."""
-    def rec(rest: int, parts: tuple[int, ...]):
-        if rest == 0:
-            if len(parts) >= min_parts:
-                yield parts
-            return
-        for head in range(1, rest + 1):
-            yield from rec(rest - head, parts + (head,))
-
-    yield from rec(n, ())
+def _compositions(n: int, parts: int):
+    """The compositions of n into exactly ``parts`` positive parts, in
+    lexicographic order (that of their cut points in 1..n-1)."""
+    for cuts in combinations(range(1, n), parts - 1):
+        yield tuple(b - a for a, b in zip((0, *cuts), (*cuts, n)))
 
 
 @cache
@@ -216,7 +210,8 @@ def enumerate_trees(n: int) -> tuple[PlanarTree, ...]:
         return (LEAF,)
     found = (
         PlanarTree(children)
-        for comp in _compositions(n, 2)
+        for parts in range(2, n + 1)
+        for comp in _compositions(n, parts)
         for children in product(*map(enumerate_trees, comp))
     )
     return tuple(sorted(found, key=str))
@@ -228,7 +223,8 @@ def enumerate_forests(n: int) -> tuple[Forest, ...]:
         raise ValueError(f"degree must be >= 1, got {n}")
     found = (
         Forest(trees)
-        for comp in _compositions(n, 1)
+        for parts in range(1, n + 1)
+        for comp in _compositions(n, parts)
         for trees in product(*map(enumerate_trees, comp))
     )
     return tuple(sorted(found, key=str))

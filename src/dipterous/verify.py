@@ -2,15 +2,16 @@
 
 Each check returns a ``Check`` whose witness is the first counterexample
 found, as text; a check holds exactly when it has no witness. Suites are
-exhaustive over basis elements within their stated degree caps; the caps
-keep every suite within seconds while covering every case the identities
-could first fail in.
+exhaustive over basis elements within their degree caps: the axiom caps are
+a column of ``AXIOM_FAMILIES``, the others are arguments or stated in the
+docstrings. The caps keep every suite within seconds while covering every
+case the identities could first fail in.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import LinComb, map_slot
@@ -56,7 +57,7 @@ from .freealg import (
 )
 from .homology import qn_basis_of_degree, qn_star, qn_succ
 from .series import little_schroeder
-from .trees import _nap_multisets, enumerate_nap, nap_graft
+from .trees import _compositions, _nap_multisets, enumerate_nap, nap_graft
 
 # Degree cap of the coassociativity and bialgebra suites; callers clamp
 # their degree to it.
@@ -94,87 +95,12 @@ def _first_basis_failure(max_degree: int, lhs_rhs) -> str | None:
     return _first_failure(_degree_tuples(dipt_basis_of_degree, 1, max_degree), lhs_rhs)
 
 
-def _laws(tuples, laws) -> list[Check]:
-    """One check per (name, lhs_rhs) law, each over every tuple."""
-    tuples = list(tuples)
-    return [Check(name, _first_failure(tuples, lhs_rhs)) for name, lhs_rhs in laws]
-
-
 def _degree_tuples(make, arity: int, max_total: int):
     """All ``arity``-tuples of elements of positive degrees summing to at
     most max_total, ordered by their degree tuples, then as ``make`` lists
     each degree."""
-
-    def degrees(parts: int, budget: int):
-        if parts == 0:
-            yield ()
-            return
-        for d in range(1, budget - parts + 2):
-            for rest in degrees(parts - 1, budget - d):
-                yield (d,) + rest
-
-    for ds in degrees(arity, max_total):
+    for ds in sorted(c for n in range(arity, max_total + 1) for c in _compositions(n, arity)):
         yield from itertools.product(*map(make, ds))
-
-
-def check_dipterous_axioms() -> list[Check]:
-    """The dipterous axioms on all basis triples of total degree <= 6."""
-    return _laws(
-        _degree_tuples(_as_elems(dipt_basis_of_degree), 3, 6),
-        [
-            ("star associativity", lambda x, y, z: (star(star(x, y), z), star(x, star(y, z)))),
-            ("(x*y)>z = x>(y>z)", lambda x, y, z: (succ(star(x, y), z), succ(x, succ(y, z)))),
-        ],
-    )
-
-
-def check_right_dipterous_axioms() -> list[Check]:
-    """The right-dipterous axiom and the mirror oracle on all basis tuples
-    of total degree <= 4."""
-    make, prec = _as_elems(dipt_basis_of_degree), rdipt_prec
-    # mirror oracle: < must be the reflection conjugate of >
-    mirror = lambda x, y: (prec(x, y), reflect(succ(reflect(y), reflect(x))))
-    return _laws(
-        _degree_tuples(make, 3, 4),
-        [("(x<y)<z = x<(y*z)", lambda x, y, z: (prec(prec(x, y), z), prec(x, star(y, z))))],
-    ) + _laws(_degree_tuples(make, 2, 4), [("< is the reflection conjugate of >", mirror)])
-
-
-def check_ldipterous_axioms() -> list[Check]:
-    """The L-dipterous axioms on all binary-tree triples of total degree <= 5."""
-    nw, gt = ldipt_nwarrow, ldipt_succ
-    return _laws(
-        _degree_tuples(_as_elems(ldipt_basis_of_degree), 3, 5),
-        [
-            ("nw associativity", lambda x, y, z: (nw(nw(x, y), z), nw(x, nw(y, z)))),
-            ("(x nw y)>z = x>(y>z)", lambda x, y, z: (gt(nw(x, y), z), gt(x, gt(y, z)))),
-            ("(x>y) nw z = x>(y nw z)", lambda x, y, z: (nw(gt(x, y), z), gt(x, nw(y, z)))),
-        ],
-    )
-
-
-def check_qn_axioms() -> list[Check]:
-    """The four vanishing identities on all tagged-word triples of total
-    degree <= 5."""
-    zero = LinComb()
-    return _laws(
-        _degree_tuples(_as_elems(qn_basis_of_degree), 3, 5),
-        [
-            ("(x>y)*z = 0", lambda x, y, z: (qn_star(qn_succ(x, y), z), zero)),
-            ("x>(y*z) = 0", lambda x, y, z: (qn_succ(x, qn_star(y, z)), zero)),
-            ("x*(y>z) = 0", lambda x, y, z: (qn_star(x, qn_succ(y, z)), zero)),
-            ("(x>y)>z = 0", lambda x, y, z: (qn_succ(qn_succ(x, y), z), zero)),
-        ],
-    )
-
-
-def check_nap_axiom() -> list[Check]:
-    """The NAP identity on all rooted-tree triples of total degree <= 6."""
-    law = lambda x, y, z: (nap_graft(nap_graft(x, y), z), nap_graft(nap_graft(x, z), y))
-    return _laws(
-        _degree_tuples(enumerate_nap, 3, 6),
-        [("(x<|y)<|z = (x<|z)<|y", law)],
-    )
 
 
 def _perm_nap_elements(n: int) -> list[LinComb]:
@@ -187,33 +113,63 @@ def _perm_nap_elements(n: int) -> list[LinComb]:
     ]
 
 
-def check_perm_nap_axioms() -> list[Check]:
-    """The pair axioms on all pair triples of total degree <= 5."""
-    st, pr = perm_nap_star, perm_nap_prec
-    return _laws(
-        _degree_tuples(_perm_nap_elements, 3, 5),
-        [
-            ("pair star associativity", lambda x, y, z: (st(st(x, y), z), st(x, st(y, z)))),
-            ("pair star permutativity", lambda x, y, z: (st(st(x, y), z), st(st(x, z), y))),
-            ("(x<y)<z = x<(y*z) on pairs", lambda x, y, z: (pr(pr(x, y), z), pr(x, st(y, z)))),
-            ("pair < NAP identity", lambda x, y, z: (pr(pr(x, y), z), pr(pr(x, z), y))),
-        ],
-    )
+# One row per exhaustive scan: (name prefix, the elements of degree n,
+# arity, total-degree cap, laws as (name, sides)). Each law holds when its
+# two sides agree on every tuple of elements whose degrees sum to at most
+# the cap. The sides look the products up by global name when called, so
+# a test that replaces one in this module reaches them.
+AXIOM_FAMILIES = (
+    ("dipterous: ", _as_elems(dipt_basis_of_degree), 3, 6, (
+        ("star associativity", lambda x, y, z: (star(star(x, y), z), star(x, star(y, z)))),
+        ("(x*y)>z = x>(y>z)", lambda x, y, z: (succ(star(x, y), z), succ(x, succ(y, z)))),
+    )),
+    ("right-dipterous: ", _as_elems(dipt_basis_of_degree), 3, 4, (
+        ("(x<y)<z = x<(y*z)",
+         lambda x, y, z: (rdipt_prec(rdipt_prec(x, y), z), rdipt_prec(x, star(y, z)))),
+    )),
+    # The mirror oracle: < must be the reflection conjugate of >.
+    ("right-dipterous: ", _as_elems(dipt_basis_of_degree), 2, 4, (
+        ("< is the reflection conjugate of >",
+         lambda x, y: (rdipt_prec(x, y), reflect(succ(reflect(y), reflect(x))))),
+    )),
+    ("L-dipterous: ", _as_elems(ldipt_basis_of_degree), 3, 5, (
+        ("nw associativity",
+         lambda x, y, z: (ldipt_nwarrow(ldipt_nwarrow(x, y), z), ldipt_nwarrow(x, ldipt_nwarrow(y, z)))),
+        ("(x nw y)>z = x>(y>z)",
+         lambda x, y, z: (ldipt_succ(ldipt_nwarrow(x, y), z), ldipt_succ(x, ldipt_succ(y, z)))),
+        ("(x>y) nw z = x>(y nw z)",
+         lambda x, y, z: (ldipt_nwarrow(ldipt_succ(x, y), z), ldipt_succ(x, ldipt_nwarrow(y, z)))),
+    )),
+    ("QN: ", _as_elems(qn_basis_of_degree), 3, 5, (
+        ("(x>y)*z = 0", lambda x, y, z: (qn_star(qn_succ(x, y), z), LinComb())),
+        ("x>(y*z) = 0", lambda x, y, z: (qn_succ(x, qn_star(y, z)), LinComb())),
+        ("x*(y>z) = 0", lambda x, y, z: (qn_star(x, qn_succ(y, z)), LinComb())),
+        ("(x>y)>z = 0", lambda x, y, z: (qn_succ(qn_succ(x, y), z), LinComb())),
+    )),
+    ("NAP: ", enumerate_nap, 3, 6, (
+        ("(x<|y)<|z = (x<|z)<|y",
+         lambda x, y, z: (nap_graft(nap_graft(x, y), z), nap_graft(nap_graft(x, z), y))),
+    )),
+    ("Perm(NAP): ", _perm_nap_elements, 3, 5, (
+        ("pair star associativity",
+         lambda x, y, z: (perm_nap_star(perm_nap_star(x, y), z), perm_nap_star(x, perm_nap_star(y, z)))),
+        ("pair star permutativity",
+         lambda x, y, z: (perm_nap_star(perm_nap_star(x, y), z), perm_nap_star(perm_nap_star(x, z), y))),
+        ("(x<y)<z = x<(y*z) on pairs",
+         lambda x, y, z: (perm_nap_prec(perm_nap_prec(x, y), z), perm_nap_prec(x, perm_nap_star(y, z)))),
+        ("pair < NAP identity",
+         lambda x, y, z: (perm_nap_prec(perm_nap_prec(x, y), z), perm_nap_prec(perm_nap_prec(x, z), y))),
+    )),
+)
 
 
 def axioms_suite() -> list[Check]:
-    return [
-        replace(c, name=prefix + c.name)
-        for prefix, check in (
-            ("dipterous: ", check_dipterous_axioms),
-            ("right-dipterous: ", check_right_dipterous_axioms),
-            ("L-dipterous: ", check_ldipterous_axioms),
-            ("QN: ", check_qn_axioms),
-            ("NAP: ", check_nap_axiom),
-            ("Perm(NAP): ", check_perm_nap_axioms),
-        )
-        for c in check()
-    ]
+    """Every law of ``AXIOM_FAMILIES``, each over its row's tuples."""
+    checks = []
+    for prefix, make, arity, max_total, laws in AXIOM_FAMILIES:
+        tuples = list(_degree_tuples(make, arity, max_total))
+        checks += [Check(prefix + name, _first_failure(tuples, sides)) for name, sides in laws]
+    return checks
 
 
 # ---------------------------------------------------------------------------

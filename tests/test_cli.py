@@ -174,6 +174,27 @@ def test_dynamics_negative_weight_needs_flag(tmp_path, capsys):
     assert "BB : -1/2" in out
 
 
+def test_dynamics_symbol_without_rules_needs_flag(tmp_path, capsys):
+    # Neither a nor b has a rule, so the mass reaching them would vanish.
+    grammar = tmp_path / "rule-less.grammar"
+    grammar.write_text("s -> a b : 1\n")
+    argv = [sys.executable, "-m", "dipterous.cli", "dynamics", str(grammar), "s", "3"]
+    errors = set()
+    for seed in ("1", "77"):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=seed)
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        errors.add(proc.stderr)
+    # The first rule-less symbol in sorted order, whatever the hash seed.
+    [err] = errors
+    assert err.startswith("grammar error:") and "'a'" in err and "'b'" not in err
+    code, out, _ = run(capsys, "dynamics", str(grammar), "s", "3", "--free-weights")
+    assert code == 0
+    assert [line for line in out.splitlines() if "mass" in line] == [
+        f"step {i} (mass {m}):" for i, m in enumerate((1, 1, 0, 0))
+    ]
+
+
 def test_dynamics_parse_error_carries_line(tmp_path, capsys):
     grammar = tmp_path / "bad.grammar"
     grammar.write_text("s -> a b : 1\noops\n")

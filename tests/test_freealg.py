@@ -42,14 +42,14 @@ from dipterous.trees import (
     Y1,
     parse_forest,
 )
-from dipterous.verify import (
-    check_dipterous_axioms,
-    check_ldipterous_axioms,
-    check_perm_nap_axioms,
-    check_right_dipterous_axioms,
-)
+from dipterous.verify import axioms_suite
 
 from two_letters import dipt_basis_2, qn_basis_2
+
+
+def family_checks(prefix: str) -> list:
+    """The checks of one axiom family, selected from the suite by prefix."""
+    return [c for c in axioms_suite() if c.name.startswith(prefix)]
 
 
 def be(forest_text: str, word: str) -> DiptBasis:
@@ -100,7 +100,9 @@ def test_decompose_is_a_section_degree_le_7():
 
 
 def test_dipterous_axioms_exhaustive():
-    for check in check_dipterous_axioms():
+    checks = family_checks("dipterous: ")
+    assert len(checks) == 2
+    for check in checks:
         assert check.ok, check
 
 
@@ -216,7 +218,9 @@ def test_eval_universal_is_a_morphism_into_binary_trees():
 
 
 def test_rdipt_is_reflection_conjugate_and_satisfies_axioms():
-    for check in check_right_dipterous_axioms():
+    checks = family_checks("right-dipterous: ")
+    assert len(checks) == 2
+    for check in checks:
         assert check.ok, check
 
 
@@ -251,7 +255,9 @@ def test_ldipt_examples():
 
 
 def test_ldipt_axioms():
-    for check in check_ldipterous_axioms():
+    checks = family_checks("L-dipterous: ")
+    assert len(checks) == 3
+    for check in checks:
         assert check.ok, check
 
 
@@ -311,7 +317,9 @@ def test_perm_nap_examples():
 
 
 def test_perm_nap_axioms():
-    for check in check_perm_nap_axioms():
+    checks = family_checks("Perm(NAP): ")
+    assert len(checks) == 4
+    for check in checks:
         assert check.ok, check
 
 

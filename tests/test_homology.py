@@ -36,7 +36,7 @@ from dipterous.homology import (
     qn_succ,
 )
 from dipterous.trees import parse_forest
-from dipterous.verify import check_qn_axioms
+from dipterous.verify import axioms_suite
 
 from two_letters import qn_basis_2
 
@@ -77,7 +77,9 @@ def test_qn_dims():
 
 
 def test_qn_axioms_exhaustive():
-    for check in check_qn_axioms():
+    checks = [c for c in axioms_suite() if c.name.startswith("QN: ")]
+    assert len(checks) == 4
+    for check in checks:
         assert check.ok, check
 
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from dipterous.trees import (
     ParseError,
     PlanarTree,
     Y1,
+    _compositions,
     bin_nearrow,
     bin_nwarrow,
     corolla,
@@ -219,3 +222,12 @@ def test_enumerate_nap_counts_single_label():
 def test_enumerate_nap_two_labels():
     assert len(enumerate_nap(1, ("v", "w"))) == 2
     assert len(enumerate_nap(2, ("v", "w"))) == 4
+
+
+def test_compositions_have_exactly_the_given_parts_in_lexicographic_order():
+    for n in range(1, 11):
+        for parts in range(1, n + 1):
+            comps = list(_compositions(n, parts))
+            assert len(set(comps)) == len(comps) == math.comb(n - 1, parts - 1)
+            assert all(len(c) == parts and min(c) >= 1 and sum(c) == n for c in comps)
+            assert comps == sorted(comps)

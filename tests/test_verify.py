@@ -1,4 +1,5 @@
 import ast
+import itertools
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -73,7 +74,7 @@ def test_nap_check_reports_the_first_failing_triple(monkeypatch):
         return nap_graft(s, t)
 
     monkeypatch.setattr(verify, "nap_graft", reversed_graft)
-    [check] = verify.check_nap_axiom()
+    [check] = [c for c in axioms_suite() if c.name.startswith("NAP: ")]
     assert not check.ok
     # Degree order: (1, 1, 1) holds for any graft, (1, 1, 2) is the first
     # degree tuple, and v ; v ; v[v] its only triple.
@@ -235,3 +236,54 @@ def test_no_module_imports_random():
         if any(module.split(".")[0] == "random" for module in _imported_modules(path))
     ]
     assert sampling == []
+
+
+def test_axiom_table_pins_its_checks_and_caps():
+    assert [c.name for c in axioms_suite()] == [
+        "dipterous: star associativity",
+        "dipterous: (x*y)>z = x>(y>z)",
+        "right-dipterous: (x<y)<z = x<(y*z)",
+        "right-dipterous: < is the reflection conjugate of >",
+        "L-dipterous: nw associativity",
+        "L-dipterous: (x nw y)>z = x>(y>z)",
+        "L-dipterous: (x>y) nw z = x>(y nw z)",
+        "QN: (x>y)*z = 0",
+        "QN: x>(y*z) = 0",
+        "QN: x*(y>z) = 0",
+        "QN: (x>y)>z = 0",
+        "NAP: (x<|y)<|z = (x<|z)<|y",
+        "Perm(NAP): pair star associativity",
+        "Perm(NAP): pair star permutativity",
+        "Perm(NAP): (x<y)<z = x<(y*z) on pairs",
+        "Perm(NAP): pair < NAP identity",
+    ]
+    # Dipterous, right-dipterous, its mirror oracle, L-dipterous, QN, NAP and
+    # Perm(NAP): a lowered cap or a smaller basis scans fewer tuples.
+    scanned = [
+        sum(1 for _ in verify._degree_tuples(make, arity, cap))
+        for _, make, arity, cap, _ in verify.AXIOM_FAMILIES
+    ]
+    assert scanned == [183, 7, 21, 34, 25, 38, 34]
+
+
+def nested_degrees(parts: int, budget: int):
+    """The degree tuples ``_degree_tuples`` once generated itself: positive
+    ``parts``-tuples summing to at most budget, in lexicographic order."""
+    if parts == 0:
+        yield ()
+        return
+    for d in range(1, budget - parts + 2):
+        for rest in nested_degrees(parts - 1, budget - d):
+            yield (d,) + rest
+
+
+def test_degree_tuples_keep_the_nested_generator_order():
+    # Degree n has n labelled elements, so each tuple names its degrees.
+    make = lambda n: [f"{n}.{i}" for i in range(n)]
+    table = {(arity, cap) for _, _, arity, cap, _ in verify.AXIOM_FAMILIES}
+    # The basis scans and the pair scans of the coassociativity suite.
+    for arity, cap in sorted(table | {(1, 7), (2, 4), (2, 5)}):
+        expected = [
+            xs for ds in nested_degrees(arity, cap) for xs in itertools.product(*map(make, ds))
+        ]
+        assert list(verify._degree_tuples(make, arity, cap)) == expected, (arity, cap)
