@@ -54,6 +54,10 @@ COMMANDS = [
     # One degree past `prim both --max-degree 6`; the cocommutative
     # coproduct follows each key's split() through eval_basis.
     ["prim", "hopf", "--max-degree", "7", "--json"],
+    # Past the benchmarked caps: each ranks its top degree from uncached
+    # coproduct images.
+    ["prim", "semiinf", "--max-degree", "9", "--json"],
+    ["verify", "pbw", "--max-degree", "8", "--json"],
 ]
 
 

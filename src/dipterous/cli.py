@@ -13,18 +13,9 @@ import re
 import sys
 from collections.abc import Iterable
 from fractions import Fraction
-from pathlib import Path
 
 from .bialgebras import antipode_table, primcom_dims
-from .coproducts import filtration_dim
-from .dynamics import (
-    GrammarError,
-    distribution_json,
-    distribution_rows,
-    dynamics_run,
-    parse_grammar,
-    total_mass,
-)
+from .coproducts import filtration_dims
 from .freealg import dim_table
 from .homology import HOMOTOPY_WEIGHT_CAP, koszul_report, qn_dim_table
 from .linalg import parse_rational
@@ -88,7 +79,7 @@ def cmd_prim(args: argparse.Namespace) -> int:
     lines: list[str] = []
     ok = True
     if args.coproduct in ("semiinf", "both"):
-        dims = [filtration_dim(1, n, t) for n in range(1, max_degree + 1)]
+        dims = filtration_dims(1, max_degree, t)
         # Delta_t = t * Delta_1, so at t = 0 every forest is primitive.
         ref = (large_schroeder if t == 0 else little_schroeder)(max_degree)
         match = dims == ref
@@ -182,6 +173,18 @@ def _antipode_lines(table: dict, witness: str | None) -> Iterable[str]:
 
 
 def cmd_dynamics(args: argparse.Namespace) -> int:
+    # No other command reads dynamics, so only this one imports it.
+    from pathlib import Path
+
+    from .dynamics import (
+        GrammarError,
+        distribution_json,
+        distribution_rows,
+        dynamics_run,
+        parse_grammar,
+        total_mass,
+    )
+
     try:
         text = Path(args.grammar).read_text()
     except (OSError, UnicodeDecodeError) as exc:

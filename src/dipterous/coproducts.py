@@ -20,15 +20,17 @@ coalgebra of words, which yields the dimension bookkeeping
 
 delta_t = t * delta_1: both vanish on generators, and by induction on degree
 each summand on the right above carries exactly one factor t. So only
-delta_1 is computed, cached per basis key like the idempotent.
+delta_1 is computed, cached per basis key like the idempotent, except in
+the top degree of one ``filtration_dims`` call: no lower degree reads those
+images, so they are built by one uncached step over the cached halves and
+freed once ranked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Iterator, Sequence
+from typing import NamedTuple, Sequence
 
 from .linalg import (
     LinComb,
@@ -52,8 +54,8 @@ from .series import composition_sum
 from .trees import LEAF, Forest, PlanarTree, corolla, enumerate_trees
 
 
-@cache
-def delta_basis(x: DiptBasis) -> LinComb:
+def _delta_step(x: DiptBasis) -> LinComb:
+    """delta_1 of a basis key from the cached images of its two halves."""
     if x.degree == 1:
         return LinComb()
     op, left, right = x.split()
@@ -68,6 +70,8 @@ def delta_basis(x: DiptBasis) -> LinComb:
     out[left, right] = out.get((left, right), 0) + 1
     return LinComb(out)
 
+
+delta_basis = cache(_delta_step)
 
 delta = linear(lambda key: delta_basis(key))
 
@@ -105,28 +109,35 @@ def delta_iter(x: LinComb, n: int) -> LinComb:
     return iterate(delta_basis, x, n)
 
 
-def _delta_iter_images(r: int, basis: list[DiptBasis]) -> Iterator[LinComb]:
-    """Images of the r-fold iterated coproduct on an ordered basis."""
-    if r == 1:
-        return map(delta_basis, basis)
-    return (delta_iter(LinComb.basis(b), r) for b in basis)
+def filtration_dims(r: int, max_n: int, t: Fraction = Fraction(1)) -> list[int]:
+    """Dimensions of the r-th filtration step of delta_t within degrees
+    1..max_n. The iterates of delta_t = t * delta_1 lose no rank unless
+    t = 0.
 
-
-def filtration_dim(r: int, n: int, t: Fraction = Fraction(1)) -> int:
-    """Dimension of the r-th filtration step of delta_t within degree n. The
-    iterates of delta_t = t * delta_1 lose no rank unless t = 0."""
-    if r < 1 or n < 1:
+    For r = 1 the degrees are ranked in increasing order, so the cached
+    images of degrees below max_n are in place when degree max_n's images
+    are built by ``_delta_step``; those never enter the cache.
+    """
+    if r < 1 or max_n < 1:
         raise ValueError("filtration level and degree must be >= 1")
-    basis = dipt_basis_of_degree(n)
-    if r >= n or t == 0:
-        return len(basis)
-    return len(basis) - operator_rank(_delta_iter_images(r, basis))
+    dims = []
+    for n in range(1, max_n + 1):
+        basis = dipt_basis_of_degree(n)
+        if r >= n or t == 0:
+            dims.append(len(basis))
+            continue
+        if r == 1:
+            images = map(_delta_step if n == max_n else delta_basis, basis)
+        else:
+            images = (delta_iter(LinComb.basis(b), r) for b in basis)
+        dims.append(len(basis) - operator_rank(images))
+    return dims
 
 
 def prim_basis(n: int) -> list[LinComb]:
     """Echelon basis of the coproduct kernel on the degree-n component."""
     basis = dipt_basis_of_degree(n)
-    return kernel_of_operator(basis, _delta_iter_images(1, basis))
+    return kernel_of_operator(basis, map(delta_basis, basis))
 
 
 def triangle(x: LinComb, y: LinComb) -> LinComb:
@@ -233,8 +244,7 @@ def phi_tensor(te: LinComb) -> LinComb:
     return linear(phi_pair)(te)
 
 
-@dataclass(frozen=True)
-class PbwReport:
+class PbwReport(NamedTuple):
     forest_dims: tuple[int, ...]
     prim_dims: tuple[int, ...]
     composed: tuple[int, ...]
@@ -248,7 +258,7 @@ def pbw_dim_check(max_n: int) -> PbwReport:
     """Forest dims must equal composition sums of computed primitive dims."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    prim = [filtration_dim(1, n) for n in range(1, max_n + 1)]
+    prim = filtration_dims(1, max_n)
     forests = [len(dipt_basis_of_degree(n)) for n in range(1, max_n + 1)]
     composed = [composition_sum(prim, n) for n in range(1, max_n + 1)]
     return PbwReport(tuple(forests), tuple(prim), tuple(composed))

@@ -24,11 +24,11 @@ notation):
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .linalg import LinComb, as_scalar, bilinear, linear, parse_rational
+from .trees import Frozen
 
 Word = tuple[str, ...]
 WordElement = LinComb  # over Word keys
@@ -42,20 +42,23 @@ class GrammarError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class CoopTable:
+class CoopTable(Frozen):
     """Weighted substitution rules: symbol -> sum of (weight, pair)."""
 
-    alphabet: frozenset[str]
-    rules: Mapping[str, tuple[tuple[Fraction, tuple[str, str]], ...]]
+    __slots__ = ("alphabet", "rules")
 
-    def __post_init__(self):
-        for sym, options in self.rules.items():
-            if sym not in self.alphabet:
+    def __init__(
+        self,
+        alphabet: frozenset[str],
+        rules: Mapping[str, tuple[tuple[Fraction, tuple[str, str]], ...]],
+    ):
+        for sym, options in rules.items():
+            if sym not in alphabet:
                 raise GrammarError(f"rule head {sym!r} not in alphabet")
             for _, (b, c) in options:
-                if b not in self.alphabet or c not in self.alphabet:
+                if b not in alphabet or c not in alphabet:
                     raise GrammarError(f"rule for {sym!r} uses unknown symbols")
+        self._set(alphabet, rules)
 
     def check_stochastic(self):
         """Every symbol's weights form a distribution; the first that does
@@ -160,21 +163,20 @@ def baxter_derived_ops(
     return concat(z(x), y), concat(x, z(y))
 
 
-@dataclass(frozen=True)
-class WeightedGraph:
+class WeightedGraph(Frozen):
     """Locally finite weighted digraph with injective (source, target) arcs."""
 
-    vertices: frozenset[str]
-    arcs: tuple[tuple[str, str, Fraction], ...] = field(default_factory=tuple)
+    __slots__ = ("vertices", "arcs")
 
-    def __post_init__(self):
+    def __init__(self, vertices: frozenset[str], arcs: tuple[tuple[str, str, Fraction], ...] = ()):
         seen = set()
-        for v, w, _ in self.arcs:
-            if v not in self.vertices or w not in self.vertices:
+        for v, w, _ in arcs:
+            if v not in vertices or w not in vertices:
                 raise GrammarError(f"arc {v}->{w} uses unknown vertex")
             if (v, w) in seen:
                 raise GrammarError(f"duplicate arc {v}->{w}")
             seen.add((v, w))
+        self._set(vertices, arcs)
 
 
 def graph_coop(g: WeightedGraph) -> CoopTable:

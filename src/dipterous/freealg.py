@@ -34,7 +34,6 @@ images, so each recursion splits each key once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, reduce
 from typing import Callable, Mapping, Sequence
 
@@ -45,6 +44,7 @@ from .trees import (
     LEAF,
     BinaryTree,
     Forest,
+    Frozen,
     Interned,
     NapTree,
     PlanarTree,
@@ -199,18 +199,18 @@ def reflect(x: LinComb) -> LinComb:
     return x.map_keys(reflect_basis)
 
 
-@dataclass(frozen=True, eq=False)
-class AlgebraTarget:
+class AlgebraTarget(Frozen):
     """A concrete algebra to evaluate into: two operations plus generator images.
 
     The operations must be pure and the generator images fixed, because
-    ``eval_basis`` caches its images per (basis element, target).
+    ``eval_basis`` caches its images per (basis element, target), and a
+    target hashes by identity.
     """
 
-    star: Callable
-    succ: Callable
-    generators: Mapping[int, object]
-    zero: object
+    __slots__ = ("star", "succ", "generators", "zero")
+
+    def __init__(self, star: Callable, succ: Callable, generators: Mapping[int, object], zero: object):
+        self._set(star, succ, generators, zero)
 
 
 @cache

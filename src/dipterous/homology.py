@@ -48,10 +48,9 @@ arity never exceeds its weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable, Iterable, NamedTuple
 
 from .linalg import LinComb, bilinear, linear, operator_rank
 from .freealg import (
@@ -313,8 +312,7 @@ def homology_rank(arity: int, weight: int) -> int:
     return kernel_dim - _differential_rank(arity + 1, weight)
 
 
-@dataclass(frozen=True)
-class KoszulReport:
+class KoszulReport(NamedTuple):
     pieces: tuple[dict, ...]
     square_zero_ok: bool
     simplicial_ok: bool

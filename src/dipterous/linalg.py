@@ -32,12 +32,13 @@ itself instead of a copy.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
+
+from .trees import Frozen
 
 Scalar = Fraction | int
 
@@ -221,23 +222,20 @@ def map_slot(x: LinComb, slot: int, fn: Callable) -> LinComb:
 tensor_product = bilinear(lambda ka, kb: (ka, kb))
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
+class SparseMatrix(Frozen):
     """Sparse exact matrix; no zero entries are stored."""
 
-    nrows: int
-    ncols: int
-    entries: Mapping[tuple[int, int], Scalar] = field(default_factory=dict)
+    __slots__ = ("nrows", "ncols", "entries")
 
-    def __post_init__(self):
+    def __init__(self, nrows: int, ncols: int, entries: Mapping[tuple[int, int], Scalar] | None = None):
         clean = {}
-        for (i, j), c in self.entries.items():
-            if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+        for (i, j), c in (entries or {}).items():
+            if not (0 <= i < nrows and 0 <= j < ncols):
                 raise ValueError(f"entry ({i}, {j}) out of bounds")
             c = as_scalar(c)
             if c:
                 clean[(i, j)] = c
-        object.__setattr__(self, "entries", clean)
+        self._set(nrows, ncols, clean)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> "SparseMatrix":

@@ -24,11 +24,15 @@ equality are by identity and never walk a tree. The tables only grow. Each
 tree and forest also stores its degree and its encoding, built once from
 its parts' stored encodings, so ``str`` and the sorts keyed on it never
 re-encode a tree.
+
+``Interned`` builds on ``Frozen``, the one base of the package's immutable
+records (keys, sparse matrices, cooperation tables, algebra targets): its
+fields are slots set once, and assigning one raises this module's
+``FrozenInstanceError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
 from functools import cache
 from itertools import combinations, product
 
@@ -39,7 +43,36 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-class Interned:
+class FrozenInstanceError(AttributeError):
+    """Raised on assigning or deleting an attribute of a ``Frozen`` value."""
+
+
+class Frozen:
+    """Base of immutable slotted values.
+
+    A subclass lists its fields in ``__slots__`` and sets them once, in
+    order, through ``_set``; assigning or deleting any attribute afterwards
+    raises ``FrozenInstanceError``. Equality and hashing are by identity.
+    Copying or unpickling a value calls the class on its fields again.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Interned(Frozen):
     """Base of hash-consed keys: equal fields always give the same instance.
 
     A subclass names its fields in ``_fields`` and lists them first in
@@ -66,17 +99,10 @@ class Interned:
         self = cls._table.get(fields)
         if self is None:
             self = object.__new__(cls)
-            for name, value in zip(cls.__slots__, fields + cls._derive(*fields)):
-                object.__setattr__(self, name, value)
+            self._set(*fields, *cls._derive(*fields))
             # setdefault keeps one instance if two threads race here.
             self = cls._table.setdefault(fields, self)
         return self
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self._fields)

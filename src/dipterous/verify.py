@@ -11,8 +11,8 @@ case the identities could first fail in.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .linalg import LinComb, map_slot
 from .bialgebras import (
@@ -64,8 +64,7 @@ from .trees import _compositions, _nap_multisets, enumerate_nap, nap_graft
 SUITE_DEGREE_CAP = 4
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     witness: str | None = None
     detail: str | None = None

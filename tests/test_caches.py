@@ -7,6 +7,7 @@ import pytest
 
 from dipterous import bialgebras, coproducts, freealg, homology, trees, verify
 from dipterous.linalg import LinComb
+from dipterous.series import little_schroeder
 
 CACHES = (
     trees.enumerate_trees,
@@ -113,16 +114,24 @@ def test_delta_keeps_one_entry_per_key_and_t():
 def test_delta_keeps_one_entry_per_key_whatever_t():
     clear_caches()
     for t in (Fraction(1), Fraction(1, 2)):
-        for n in range(1, 7):
-            coproducts.filtration_dim(1, n, t)
-    # The forests of degree <= 6; a cache keyed by t as well would hold 1030.
+        coproducts.filtration_dims(1, 6, t)
+    # The forests of degree <= 5, since degree 6 is the top degree; a cache
+    # keyed by t as well would hold 242.
+    assert coproducts.delta_basis.cache_info().currsize == 121
+
+
+def test_top_degree_images_stay_out_of_the_cache():
+    clear_caches()
+    for t in (Fraction(1), Fraction(1, 2)):
+        assert coproducts.filtration_dims(1, 7, t) == little_schroeder(7)
+    # Exactly the 1 + 2 + 6 + 22 + 90 + 394 forests of degree <= 6: the
+    # 1806 of degree 7 are ranked from uncached images.
     assert coproducts.delta_basis.cache_info().currsize == 515
 
 
 def test_primitive_ranks_build_each_key_product_once():
     clear_caches()
-    for n in range(1, 8):
-        coproducts.filtration_dim(1, n)
+    coproducts.filtration_dims(1, 7)
     # The coproduct recursion through degree 7 multiplies 393 distinct key
     # pairs under star and 257 under succ, each built on its first call.
     assert freealg.star_basis.cache_info().misses == 393

@@ -14,7 +14,7 @@ from dipterous.coproducts import (
     delta_basis,
     delta_iter,
     e_idempotent,
-    filtration_dim,
+    filtration_dims,
     mag_bracket_rank,
     mag_tree_to_primitive,
     pbw_dim_check,
@@ -117,16 +117,16 @@ def test_delta_parameter_scales_top_term():
 
 
 def test_filtration_examples():
-    assert filtration_dim(1, 1) == 1
-    assert filtration_dim(1, 2) == 1
+    assert filtration_dims(1, 1)[-1] == 1
+    assert filtration_dims(1, 2)[-1] == 1
     for n in range(1, 5):
         full = len(dipt_basis_of_degree(n))
-        assert filtration_dim(n, n) == full
+        assert filtration_dims(n, n)[-1] == full
 
 
 def test_filtration_monotone():
     for n in range(2, 6):
-        dims = [filtration_dim(r, n) for r in range(1, n + 1)]
+        dims = [filtration_dims(r, n)[-1] for r in range(1, n + 1)]
         assert dims == sorted(dims)
 
 
@@ -137,7 +137,7 @@ def test_prim_dims_match_tree_counts():
 @pytest.mark.parametrize("t", [Fraction(1), Fraction(1, 2)])
 def test_filtration_dim_counts_prim_basis(t):
     for n in range(1, 7):
-        assert filtration_dim(1, n, t) == len(prim_basis(n))
+        assert filtration_dims(1, n, t)[-1] == len(prim_basis(n))
 
 
 def test_half_t_primitives_equal_t_one():
@@ -145,7 +145,7 @@ def test_half_t_primitives_equal_t_one():
     # division the same unit pivots.
     half, one = Fraction(1, 2), Fraction(1)
     for n in range(1, 7):
-        assert filtration_dim(1, n, half) == filtration_dim(1, n, one)
+        assert filtration_dims(1, n, half)[-1] == filtration_dims(1, n, one)[-1]
         basis = dipt_basis_of_degree(n)
         half_images = (_delta_t_reference(b, half) for b in basis)
         assert kernel_of_operator(basis, half_images) == prim_basis(n)

@@ -3,7 +3,6 @@ import os
 import pickle
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError
 from itertools import product
 from pathlib import Path
 
@@ -27,6 +26,7 @@ from dipterous.trees import (
     Y1,
     BinaryTree,
     Forest,
+    FrozenInstanceError,
     Interned,
     NapTree,
     PlanarTree,

@@ -1,7 +1,6 @@
 import ast
 import itertools
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -142,7 +141,7 @@ def test_reduction_witness_reports_a_leftover_unit_term(monkeypatch, capsys):
 
 def test_pbw_tree_count_check_covers_every_requested_degree(monkeypatch):
     report = coproducts.pbw_dim_check(6)
-    wrong_at_6 = replace(report, prim_dims=report.prim_dims[:5] + (report.prim_dims[5] + 1,))
+    wrong_at_6 = report._replace(prim_dims=report.prim_dims[:5] + (report.prim_dims[5] + 1,))
     monkeypatch.setattr(verify, "pbw_dim_check", lambda max_n: wrong_at_6)
     check = pbw_suite(6)[0]
     assert check.name == "primitive dims are the tree counts"
