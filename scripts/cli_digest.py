@@ -33,6 +33,11 @@ BENCHMARKED = [
 COMMANDS = [
     *(argv + output for argv in BENCHMARKED for output in ([], ["--json"])),
     *(["prim", "semiinf", "--max-degree", "6", f"--t={t}"] for t in ("0", "1/2", "-3/7")),
+    # The top degree is ranked from split pairs from degree 2 on; degree 1
+    # has no split, and at t = 0 the pairs are only counted.
+    ["prim", "semiinf", "--max-degree", "1"],
+    ["prim", "semiinf", "--max-degree", "2", "--json"],
+    ["prim", "semiinf", "--max-degree", "7", "--t=0", "--json"],
     ["prim", "both", "--max-degree", "6"],
     ["dims", "all", "--max-degree", "7"],
     # Tree and forest enumeration through degree 9 (41,586 forests).

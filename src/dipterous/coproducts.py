@@ -22,8 +22,9 @@ delta_t = t * delta_1: both vanish on generators, and by induction on degree
 each summand on the right above carries exactly one factor t. So only
 delta_1 is computed, cached per basis key like the idempotent, except in
 the top degree of one ``filtration_dims`` call: no lower degree reads those
-images, so they are built by one uncached step over the cached halves and
-freed once ranked.
+images, so each is built by one uncached step from a split pair of
+``freealg.split_pairs``, over the cached images of its halves, and freed
+once ranked. That degree's keys, forests and trees are never built.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .freealg import (
     DiptBasis,
     dipt_basis_of_degree,
     gen_elem,
+    split_pairs,
     star,
     star_basis,
     succ,
@@ -54,11 +56,9 @@ from .series import composition_sum
 from .trees import LEAF, Forest, PlanarTree, corolla, enumerate_trees
 
 
-def _delta_step(x: DiptBasis) -> LinComb:
-    """delta_1 of a basis key from the cached images of its two halves."""
-    if x.degree == 1:
-        return LinComb()
-    op, left, right = x.split()
+def _delta_step(op: str, left: DiptBasis, right: DiptBasis) -> LinComb:
+    """delta_1 of the key ``op(left, right)`` from the cached images of its
+    two halves; the key itself is not built."""
     op_basis = star_basis if op == OP_STAR else succ_basis
     out: dict = {}
     for (a, b), c in delta_basis(left).items():
@@ -71,7 +71,13 @@ def _delta_step(x: DiptBasis) -> LinComb:
     return LinComb(out)
 
 
-delta_basis = cache(_delta_step)
+@cache
+def delta_basis(x: DiptBasis) -> LinComb:
+    """delta_1 of a basis key: zero on a generator, else one step on its split."""
+    if x.degree == 1:
+        return LinComb()
+    return _delta_step(*x.split())
+
 
 delta = linear(lambda key: delta_basis(key))
 
@@ -115,23 +121,44 @@ def filtration_dims(r: int, max_n: int, t: Fraction = Fraction(1)) -> list[int]:
     t = 0.
 
     For r = 1 the degrees are ranked in increasing order, so the cached
-    images of degrees below max_n are in place when degree max_n's images
-    are built by ``_delta_step``; those never enter the cache.
+    images of degrees below max_n are in place when degree max_n >= 2 is
+    reached. That degree is ranked from ``split_pairs(max_n)``, counted as
+    they stream, by one ``_delta_step`` each, and at t = 0 only counted:
+    its images never enter the cache, and its keys are never built.
     """
     if r < 1 or max_n < 1:
         raise ValueError("filtration level and degree must be >= 1")
     dims = []
     for n in range(1, max_n + 1):
+        if r == 1 and n == max_n >= 2:
+            dims.append(_split_pairs_dim(n, t))
+            continue
         basis = dipt_basis_of_degree(n)
         if r >= n or t == 0:
             dims.append(len(basis))
             continue
         if r == 1:
-            images = map(_delta_step if n == max_n else delta_basis, basis)
+            images = map(delta_basis, basis)
         else:
             images = (delta_iter(LinComb.basis(b), r) for b in basis)
         dims.append(len(basis) - operator_rank(images))
     return dims
+
+
+def _split_pairs_dim(n: int, t: Fraction) -> int:
+    """Kernel dimension of delta_t in degree n >= 2, from ``split_pairs(n)``:
+    the pairs counted, less the rank of their images unless t = 0."""
+    if t == 0:
+        return sum(1 for _ in split_pairs(n))
+    size = 0
+
+    def image(pair: tuple) -> LinComb:
+        nonlocal size
+        size += 1
+        return _delta_step(*pair)
+
+    rank = operator_rank(map(image, split_pairs(n)))
+    return size - rank
 
 
 def prim_basis(n: int) -> list[LinComb]:

@@ -10,8 +10,10 @@ trees whose leaf count matches the word length. The two operations are
 Every basis element of degree >= 2 splits canonically into one of the two
 operations applied to smaller basis elements (``DiptBasis.split``); all
 recursive structure downstream (coproducts, evaluations, homotopies) uses
-that single splitting. Variants on binary trees (with the root-gluing
-product) and the mirror-image right-handed structure, plus the
+that single splitting. ``split_pairs(n)`` lists the splittings of degree n
+from the bases below it, so a caller that only needs the halves of each
+key never builds the keys of degree n. Variants on binary trees (with the
+root-gluing product) and the mirror-image right-handed structure, plus the
 permutative/NAP pair construction on labeled rooted trees, live here too.
 
 ``eval_basis`` evaluates a basis key into any ``AlgebraTarget``: the unique
@@ -35,7 +37,7 @@ images, so each recursion splits each key once.
 from __future__ import annotations
 
 from functools import cache, reduce
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .linalg import LinComb, bilinear
 from .series import catalan_series, large_schroeder, little_schroeder
@@ -106,7 +108,8 @@ class DiptBasis(Interned):
         single tree t1 v ... v tk splits as (forest t1..t_{k-1}) succ
         (branches of tk), with the branches of a leaf being the leaf itself.
         Both factors have strictly smaller degree and the tagged operation
-        reproduces the key.
+        reproduces the key. ``split_pairs`` is its inverse: it lists the
+        splittings of one degree without building its keys.
         """
         if self.degree < 2:
             raise ValueError("generator has no decomposition")
@@ -182,6 +185,26 @@ def dipt_basis_of_degree(n: int) -> tuple[DiptBasis, ...]:
         raise ValueError("degree must be >= 1")
     word = (0,) * n
     return tuple(DiptBasis(f, word) for f in enumerate_forests(n))
+
+
+def split_pairs(n: int) -> Iterator[tuple[str, DiptBasis, DiptBasis]]:
+    """Yield ``(op, left, right)`` once for each degree-n key, n >= 2: the
+    image of ``DiptBasis.split``, read from the bases of degrees below n.
+
+    Under ``star`` the left factor is a single-tree key of degree d and the
+    right one any key of degree n - d; under ``succ`` the left factor is any
+    key of degree m and the right one the generator or a key of two or more
+    trees, of degree n - m. No key of degree n is built.
+    """
+    if n < 2:
+        raise ValueError("degree must be >= 2")
+    bases = [()] + [dipt_basis_of_degree(d) for d in range(1, n)]
+    for d in range(1, n):
+        trees = [k for k in bases[d] if len(k.forest) == 1]
+        yield from ((OP_STAR, left, right) for left in trees for right in bases[n - d])
+    for m in range(1, n):
+        rights = [k for k in bases[n - m] if k.degree == 1 or len(k.forest) >= 2]
+        yield from ((OP_SUCC, left, right) for left in bases[m] for right in rights)
 
 
 def reflect_tree(t: PlanarTree) -> PlanarTree:

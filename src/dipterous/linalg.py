@@ -332,12 +332,19 @@ def rank(rows: Iterable[Mapping]) -> int:
     renumbered into fresh row dicts, fewest nonzeros first (ties in order
     of first appearance), so the sparsest columns are eliminated first and
     fill-in stays low (the Markowitz heuristic, restricted to columns).
+
+    The rows are read into a list of ``rank``'s own, and each is dropped
+    from it as soon as its renumbered copy is built, so rows that only that
+    list holds (those of a generator) are freed one by one, and never all
+    alive together with their copies. A list the caller keeps is unchanged.
     """
     rows = list(rows)
     count = Counter(chain.from_iterable(rows))
     col = {k: j for j, k in enumerate(sorted(count, key=count.__getitem__))}
-    fresh = [{col[k]: c for k, c in row.items() if c} for row in rows]
-    del rows  # a generator's rows are not held during elimination
+    fresh = []
+    for i in range(len(rows)):
+        fresh.append({col[k]: c for k, c in rows[i].items() if c})
+        rows[i] = None
     _, pivots = _echelon(fresh, len(col))
     return len(pivots)
 

@@ -1,11 +1,18 @@
 """Every cached recursion and enumeration gives the same values whatever the
-cache state, and each cache keeps one entry per argument tuple."""
+cache state, and each cache keeps one entry per argument tuple. What the
+primitive ranks leave alive (cache entries, interned keys, input rows) is
+pinned here too."""
 
+import os
+import subprocess
+import sys
+import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from dipterous import bialgebras, coproducts, freealg, homology, trees, verify
+from dipterous import bialgebras, coproducts, freealg, homology, linalg, trees, verify
 from dipterous.linalg import LinComb
 from dipterous.series import little_schroeder
 
@@ -125,8 +132,37 @@ def test_top_degree_images_stay_out_of_the_cache():
     for t in (Fraction(1), Fraction(1, 2)):
         assert coproducts.filtration_dims(1, 7, t) == little_schroeder(7)
     # Exactly the 1 + 2 + 6 + 22 + 90 + 394 forests of degree <= 6: the
-    # 1806 of degree 7 are ranked from uncached images.
+    # 1806 images of degree 7 are built from split pairs, uncached, and
+    # their keys are never built.
     assert coproducts.delta_basis.cache_info().currsize == 515
+
+
+@pytest.mark.parametrize("t", [Fraction(1), Fraction(0)])
+def test_top_degree_enumerates_nothing(t):
+    clear_caches()
+    coproducts.filtration_dims(1, 7, t)
+    # Degrees 1..6 only: the top degree reads their bases through split_pairs.
+    assert freealg.dipt_basis_of_degree.cache_info().currsize == 6
+    assert trees.enumerate_trees.cache_info().currsize == 6
+
+
+def test_top_degree_interns_no_key():
+    # The intern tables only grow, so this needs a process of its own.
+    script = (
+        "from fractions import Fraction\n"
+        "from dipterous import coproducts, freealg, trees\n"
+        "for t in (Fraction(1), Fraction(0)):\n"
+        "    coproducts.filtration_dims(1, 7, t)\n"
+        "for cls in (trees.PlanarTree, trees.Forest, freealg.DiptBasis):\n"
+        "    print(max(k.degree for k in cls._table.values()))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["6", "6", "6"]
 
 
 def test_primitive_ranks_build_each_key_product_once():
@@ -136,6 +172,42 @@ def test_primitive_ranks_build_each_key_product_once():
     # pairs under star and 257 under succ, each built on its first call.
     assert freealg.star_basis.cache_info().misses == 393
     assert freealg.succ_basis.cache_info().misses == 257
+
+
+def test_rank_frees_each_row_once_renumbered(monkeypatch):
+    refs, alive = [], []
+
+    class Row(dict):
+        """A row that counts the watched rows still alive as it is renumbered."""
+
+        def items(self):
+            alive.append(sum(ref() is not None for ref in refs))
+            return super().items()
+
+    def image(i: int) -> LinComb:
+        out = LinComb.__new__(LinComb)
+        out.terms = Row({i: 1, i + 1: -1})
+        refs.append(weakref.ref(out.terms))
+        return out
+
+    echelon = linalg._echelon
+
+    def spy(fresh, ncols):
+        alive.append(sum(ref() is not None for ref in refs))
+        return echelon(fresh, ncols)
+
+    monkeypatch.setattr(linalg, "_echelon", spy)
+    assert linalg.operator_rank(map(image, range(4))) == 4
+    # Rows that only rank holds go one by one, and none is left when
+    # elimination starts.
+    assert alive == [4, 3, 2, 1, 0]
+
+
+def test_rank_leaves_a_kept_list_unchanged():
+    kept = [{"a": 1, "b": 2}, {"b": Fraction(1, 2)}, {"a": 2, "b": 4}]
+    rows, values = list(kept), [dict(row) for row in kept]
+    assert linalg.rank(kept) == 2
+    assert all(a is b for a, b in zip(kept, rows)) and kept == values
 
 
 def test_nap_trees_keep_one_entry_per_degree_and_alphabet():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dipterous.linalg import LinComb, kernel_of_operator
+from dipterous.linalg import LinComb, kernel_of_operator, operator_rank
 from dipterous.coproducts import (
     asc_deconcat,
     bracket,
@@ -138,6 +138,18 @@ def test_prim_dims_match_tree_counts():
 def test_filtration_dim_counts_prim_basis(t):
     for n in range(1, 7):
         assert filtration_dims(1, n, t)[-1] == len(prim_basis(n))
+
+
+@pytest.mark.parametrize("t", [Fraction(1), Fraction(1, 2), Fraction(0)])
+def test_filtration_dims_match_the_key_path(t):
+    # The top degree is ranked from split pairs, the others from their
+    # keys; this oracle ranks every degree from its keys.
+    def key_path(n):
+        basis = dipt_basis_of_degree(n)
+        return len(basis) - operator_rank(t * delta_basis(b) for b in basis)
+
+    for max_n in range(1, 8):
+        assert filtration_dims(1, max_n, t) == [key_path(n) for n in range(1, max_n + 1)]
 
 
 def test_half_t_primitives_equal_t_one():

@@ -27,6 +27,7 @@ from dipterous.freealg import (
     perm_nap_star_basis,
     rdipt_prec,
     reflect,
+    split_pairs,
     star,
     star_basis,
     succ,
@@ -34,7 +35,7 @@ from dipterous.freealg import (
     word_str,
 )
 from dipterous.homology import QNBasis, qn_star, qn_succ
-from dipterous.series import composition_sum
+from dipterous.series import composition_sum, large_schroeder
 from dipterous.trees import (
     BLEAF,
     BinaryTree,
@@ -97,6 +98,24 @@ def test_decompose_is_a_section_degree_le_7():
             assert l.degree + r.degree == n
             rebuilt = {OP_STAR: star, OP_SUCC: succ}[op](LinComb.basis(l), LinComb.basis(r))
             assert rebuilt == LinComb.basis(b)
+
+
+def test_split_pairs_are_the_inverse_of_split():
+    product = {OP_STAR: star_basis, OP_SUCC: succ_basis}
+    for n in range(2, 8):
+        pairs = list(split_pairs(n))
+        keys = [product[op](left, right) for op, left, right in pairs]
+        basis = dipt_basis_of_degree(n)
+        # Each key is built exactly once, and each key's split is a pair.
+        assert sorted(keys, key=str) == list(basis)
+        assert {b.split() for b in basis} <= set(pairs)
+        assert len(pairs) == large_schroeder(n)[-1]
+
+
+def test_split_pairs_reject_generators():
+    for n in (0, 1):
+        with pytest.raises(ValueError):
+            next(split_pairs(n))
 
 
 def test_dipterous_axioms_exhaustive():
