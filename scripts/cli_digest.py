@@ -62,6 +62,8 @@ COMMANDS = [
     # Past the benchmarked caps: each ranks its top degree from uncached
     # coproduct images.
     ["prim", "semiinf", "--max-degree", "9", "--json"],
+    # The top degree at a weight other than 1, above the test caps.
+    ["prim", "semiinf", "--max-degree", "8", "--t=1/2", "--json"],
     ["verify", "pbw", "--max-degree", "8", "--json"],
 ]
 

@@ -265,6 +265,8 @@ class ImageMap(dict):
 def convolutions(images: ImageMap, cop, x: LinComb) -> tuple[LinComb, LinComb]:
     """star(f (x) id) cop(x) and star(id (x) f) cop(x), from one walk of
     cop(x), where ``images`` maps each slot key k to f(k)."""
+    # Plain dicts: the terms cancel, and LinComb's stream deletes and
+    # re-inserts each cancelled key.
     left: dict = {}
     right: dict = {}
     for (a, b), c in cop(x).items():

@@ -6,9 +6,11 @@ product it satisfies
     delta_t(x <> y) = x1 (x) (x2 <> y)  +  (x * y1) (x) y2  +  t * (x (x) y)
 
 for both operations <>, where the middle product is always the associative
-one and Sweedler sums are implied. Evaluation always runs through the
-canonical basis splitting; independence from the splitting (and
-coassociativity) are verified by the test suite rather than assumed.
+one and Sweedler sums are implied. ``delta_step`` is the one statement of
+this relation: the recursion applies it to the canonical basis splitting,
+and the compatibility check to every factorization of a product of basis
+keys, so independence from the splitting (and coassociativity) are
+verified rather than assumed.
 
 On top of the coproduct: iterated coproducts and the kernel filtration,
 primitive-space bases, the bracket operations whose iterates realize the
@@ -22,8 +24,8 @@ delta_t = t * delta_1: both vanish on generators, and by induction on degree
 each summand on the right above carries exactly one factor t. So only
 delta_1 is computed, cached per basis key like the idempotent, except in
 the top degree of one ``filtration_dims`` call: no lower degree reads those
-images, so each is built by one uncached step from a split pair of
-``freealg.split_pairs``, over the cached images of its halves, and freed
+images, so each is built by one uncached ``delta_step`` from a split pair
+of ``freealg.split_pairs``, over the cached images of its halves, and freed
 once ranked. That degree's keys, forests and trees are never built.
 """
 
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import starmap
 from typing import NamedTuple, Sequence
 
 from .linalg import (
@@ -56,9 +59,9 @@ from .series import composition_sum
 from .trees import LEAF, Forest, PlanarTree, corolla, enumerate_trees
 
 
-def _delta_step(op: str, left: DiptBasis, right: DiptBasis) -> LinComb:
-    """delta_1 of the key ``op(left, right)`` from the cached images of its
-    two halves; the key itself is not built."""
+def delta_step(op: str, left: DiptBasis, right: DiptBasis) -> LinComb:
+    """delta_1 of the key ``op(left, right)`` by the defining relation, from
+    the cached images of its two halves; the key itself is not built."""
     op_basis = star_basis if op == OP_STAR else succ_basis
     out: dict = {}
     for (a, b), c in delta_basis(left).items():
@@ -76,28 +79,10 @@ def delta_basis(x: DiptBasis) -> LinComb:
     """delta_1 of a basis key: zero on a generator, else one step on its split."""
     if x.degree == 1:
         return LinComb()
-    return _delta_step(*x.split())
+    return delta_step(*x.split())
 
 
 delta = linear(lambda key: delta_basis(key))
-
-
-def semi_inf_rhs(product, x: LinComb, y: LinComb) -> LinComb:
-    """Right side of the defining relation for ``product`` (``star`` or
-    ``succ``), computed from delta(x) and delta(y).
-
-    Used to check that the recursive coproduct is compatible with both
-    operations on arbitrary (not just canonical) products.
-    """
-    acc = []
-    for (a, b), c in delta(x).items():
-        for k, d in product(LinComb.basis(b), y).items():
-            acc.append(((a, k), c * d))
-    for (a, b), c in delta(y).items():
-        for k, d in star(x, LinComb.basis(a)).items():
-            acc.append(((k, b), c * d))
-    acc.extend(tensor_product(x, y).items())
-    return LinComb(acc)
 
 
 def iterate(cop_basis, x: LinComb, n: int) -> LinComb:
@@ -122,43 +107,26 @@ def filtration_dims(r: int, max_n: int, t: Fraction = Fraction(1)) -> list[int]:
 
     For r = 1 the degrees are ranked in increasing order, so the cached
     images of degrees below max_n are in place when degree max_n >= 2 is
-    reached. That degree is ranked from ``split_pairs(max_n)``, counted as
-    they stream, by one ``_delta_step`` each, and at t = 0 only counted:
-    its images never enter the cache, and its keys are never built.
+    reached. That degree is counted from ``split_pairs(max_n)`` and ranked
+    from a second pass, by one ``delta_step`` each, and at t = 0 only
+    counted: its images never enter the cache, and its keys are never built.
     """
     if r < 1 or max_n < 1:
         raise ValueError("filtration level and degree must be >= 1")
     dims = []
     for n in range(1, max_n + 1):
         if r == 1 and n == max_n >= 2:
-            dims.append(_split_pairs_dim(n, t))
-            continue
-        basis = dipt_basis_of_degree(n)
-        if r >= n or t == 0:
-            dims.append(len(basis))
-            continue
-        if r == 1:
-            images = map(delta_basis, basis)
+            size = sum(1 for _ in split_pairs(n))
+            images = starmap(delta_step, split_pairs(n))
         else:
-            images = (delta_iter(LinComb.basis(b), r) for b in basis)
-        dims.append(len(basis) - operator_rank(images))
+            basis = dipt_basis_of_degree(n)
+            size = len(basis)
+            if r == 1:
+                images = map(delta_basis, basis)
+            else:
+                images = (delta_iter(LinComb.basis(b), r) for b in basis)
+        dims.append(size if r >= n or t == 0 else size - operator_rank(images))
     return dims
-
-
-def _split_pairs_dim(n: int, t: Fraction) -> int:
-    """Kernel dimension of delta_t in degree n >= 2, from ``split_pairs(n)``:
-    the pairs counted, less the rank of their images unless t = 0."""
-    if t == 0:
-        return sum(1 for _ in split_pairs(n))
-    size = 0
-
-    def image(pair: tuple) -> LinComb:
-        nonlocal size
-        size += 1
-        return _delta_step(*pair)
-
-    rank = operator_rank(map(image, split_pairs(n)))
-    return size - rank
 
 
 def prim_basis(n: int) -> list[LinComb]:

@@ -254,6 +254,8 @@ def _faces(key: ChainKey) -> tuple[ChainKey, ...]:
 def _alternating_sum(faces: Callable[[Hashable], tuple[Hashable, ...]], c: LinComb) -> LinComb:
     """The differential of c, with each key's faces read from ``faces``,
     accumulated into one dict."""
+    # A plain dict: the faces cancel, and LinComb's stream deletes and
+    # re-inserts each cancelled key.
     out: dict = {}
     for key, coeff in c.items():
         sign = coeff

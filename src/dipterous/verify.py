@@ -35,8 +35,8 @@ from .bialgebras import (
 from .coproducts import (
     delta,
     delta_basis,
+    delta_step,
     pbw_dim_check,
-    semi_inf_rhs,
 )
 from .freealg import (
     OP_STAR,
@@ -208,31 +208,35 @@ def cocommutative_witness(max_degree: int) -> str | None:
     return _first_basis_failure(max_degree, sides)
 
 
+def _product_failure(max_total: int, sides) -> str | None:
+    """The first ``op ; a ; b`` on which the two sides differ, as text, or
+    None, over basis pairs of total degree <= max_total in degree order,
+    star before succ. ``sides(op, ab, a, b)`` gets the product key ``ab``,
+    built by the product looked up by global name when called."""
+    def keyed_sides(op, a, b):
+        ab = (star_basis if op == OP_STAR else succ_basis)(a, b)
+        return sides(op, ab, a, b)
+
+    pairs = _degree_tuples(dipt_basis_of_degree, 2, max_total)
+    return _first_failure(((op, a, b) for a, b in pairs for op in (OP_STAR, OP_SUCC)), keyed_sides)
+
+
 def delta_compatibility_witness() -> str | None:
-    """delta(x <> y) matches the defining relation on all basis pairs of
-    total degree <= 5, and so, both sides being bilinear, on all pairs of
-    that total degree."""
-    ops = {OP_STAR: star, OP_SUCC: succ}
-
-    def sides(op, a, b):
-        x, y = LinComb.basis(a), LinComb.basis(b)
-        return delta(ops[op](x, y)), semi_inf_rhs(ops[op], x, y)
-
-    pairs = _degree_tuples(dipt_basis_of_degree, 2, 5)
-    return _first_failure(((op, a, b) for a, b in pairs for op in ops), sides)
+    """delta(a <> b) matches ``delta_step``, the defining relation, at every
+    factorization a <> b of a basis key of degree <= 5, not only at the
+    canonical split that the recursion follows; both sides being bilinear,
+    it then holds on all pairs of that total degree."""
+    return _product_failure(5, lambda op, ab, a, b: (delta_basis(ab), delta_step(op, a, b)))
 
 
 def morphism_witness(cop_basis, tensor_star, tensor_succ) -> str | None:
     """cop(x <> y) = cop(x) <>_tensor cop(y) on all basis pairs of total
     degree <= 4."""
-    ops = {OP_STAR: (star_basis, tensor_star), OP_SUCC: (succ_basis, tensor_succ)}
+    def sides(op, ab, a, b):
+        tensor_op = tensor_star if op == OP_STAR else tensor_succ
+        return cop_basis(ab), tensor_op(cop_basis(a), cop_basis(b))
 
-    def sides(op, a, b):
-        basis_op, tensor_op = ops[op]
-        return cop_basis(basis_op(a, b)), tensor_op(cop_basis(a), cop_basis(b))
-
-    pairs = _degree_tuples(dipt_basis_of_degree, 2, 4)
-    return _first_failure(((op, a, b) for a, b in pairs for op in ops), sides)
+    return _product_failure(4, sides)
 
 
 def coassoc_suite(max_degree: int = 4) -> list[Check]:

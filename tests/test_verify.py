@@ -4,10 +4,20 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from dipterous import bialgebras, coproducts, verify
 from dipterous.bialgebras import UNIT, blacktriangle_basis, vartriangle_basis
 from dipterous.cli import main
-from dipterous.freealg import basis_from_str, dipt_basis_of_degree, eval_basis, succ_basis
+from dipterous.freealg import (
+    OP_STAR,
+    OP_SUCC,
+    basis_from_str,
+    dipt_basis_of_degree,
+    eval_basis,
+    star_basis,
+    succ_basis,
+)
 from dipterous.linalg import LinComb
 from dipterous.trees import nap_graft
 from dipterous.verify import (
@@ -85,19 +95,69 @@ def test_nap_check_reports_the_first_failing_triple(monkeypatch):
 def test_compatibility_scan_reports_the_first_failing_pair(monkeypatch):
     calls = []
 
-    def star_rhs_only(product, x, y):
-        calls.append((product, str(x), str(y)))
-        return coproducts.semi_inf_rhs(verify.star, x, y)
+    def star_step_only(op, a, b):
+        calls.append((op, str(a), str(b)))
+        return coproducts.delta_step(OP_STAR, a, b)
 
-    monkeypatch.setattr(verify, "semi_inf_rhs", star_rhs_only)
-    # While delta(x) vanishes the two right sides agree, so the first
-    # failure is succ on the first degree-2 x with a nonzero coproduct.
+    monkeypatch.setattr(verify, "delta_step", star_step_only)
+    # While delta(a) vanishes the two steps agree, so the first failure is
+    # succ on the first degree-2 a with a nonzero coproduct.
     assert verify.delta_compatibility_witness() == "succ ; [(| |)] @ aa ; [|] @ a"
     # Star and succ on each of the 31 pairs of degrees (1, 1) to (1, 4), then
     # on the failing pair; nothing is evaluated after the failure.
     assert len(calls) == 2 * 31 + 2
     pair = ("[(| |)] @ aa", "[|] @ a")
-    assert calls[-2:] == [(verify.star, *pair), (verify.succ, *pair)]
+    assert calls[-2:] == [(OP_STAR, *pair), (OP_SUCC, *pair)]
+
+
+def mutant_step(middle=star_basis, top=1, first=None):
+    """``delta_step`` with one term changed: the middle product, the
+    coefficient of x (x) y, or the first term's product for both ops."""
+    def step(op, left, right):
+        op_basis = first or (star_basis if op == OP_STAR else succ_basis)
+        delta_basis = coproducts.delta_basis
+        acc = [((a, op_basis(b, right)), c) for (a, b), c in delta_basis(left).items()]
+        acc += [((middle(left, a), b), c) for (a, b), c in delta_basis(right).items()]
+        acc.append(((left, right), top))
+        return LinComb(acc)
+
+    return step
+
+
+JOINT = "joint primitives reduce to the generators"
+REDUCED = "reduced semi-infinitesimal coproduct = delta"
+COMPATIBLE = "delta compatible with both products"
+PBW = ("primitive dims are the tree counts", "forest dims = composition sums of primitive dims")
+
+
+@pytest.mark.parametrize(
+    ("step", "failing"),
+    [
+        (mutant_step(), set()),
+        (
+            mutant_step(middle=succ_basis),
+            {"delta coassociative (t=1)", "delta coassociative (t=2)", COMPATIBLE, REDUCED, *PBW},
+        ),
+        (mutant_step(top=2), {REDUCED}),
+        (mutant_step(top=0), {"delta nonzero on degree 2 (t=1, t=2)", REDUCED, *PBW}),
+        (mutant_step(first=star_basis), {COMPATIBLE, REDUCED}),
+    ],
+    ids=["unchanged", "middle succ", "top doubled", "top dropped", "first always star"],
+)
+def test_a_wrong_defining_relation_fails_the_suites(monkeypatch, step, failing):
+    # The step stands in for the source's: the recursion, the top degree
+    # and the compatibility check all call it. The compatibility check then
+    # compares the step with itself at other splits, so most of the work is
+    # done by the unital recursion, which does not call it.
+    coproducts.delta_basis.cache_clear()
+    monkeypatch.setattr(coproducts, "delta_step", step)
+    monkeypatch.setattr(verify, "delta_step", step)
+    try:
+        checks = coassoc_suite(4) + bialgebra_suite(4) + pbw_suite(5)
+    finally:
+        coproducts.delta_basis.cache_clear()
+    # The joint-primitive check is the documented negative finding.
+    assert {c.name for c in checks if not c.ok} == failing | {JOINT}
 
 
 def test_coassociativity_witness_names_t_and_the_first_failing_element(monkeypatch):
