@@ -15,7 +15,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from .bialgebras import antipode_table, primcom_dims
-from .coproducts import filtration_dims
+from .coproducts import CertificateFailure, filtration_dims
 from .freealg import dim_table
 from .homology import HOMOTOPY_WEIGHT_CAP, koszul_report, qn_dim_table
 from .linalg import parse_rational
@@ -79,13 +79,19 @@ def cmd_prim(args: argparse.Namespace) -> int:
     lines: list[str] = []
     ok = True
     if args.coproduct in ("semiinf", "both"):
-        dims = filtration_dims(1, max_degree, t)
+        try:
+            dims, witness = filtration_dims(1, max_degree, t), None
+        except CertificateFailure as exc:
+            dims, witness = exc.dims, exc.witness
         # Delta_t = t * Delta_1, so at t = 0 every forest is primitive.
         ref = (large_schroeder if t == 0 else little_schroeder)(max_degree)
         match = dims == ref
         ok &= match
         lines.append(f"semiinf dims={dims} reference={ref} match={str(match).lower()}")
         payload["semiinf"] = {"dims": dims, "reference": ref, "match": match}
+        if witness:
+            lines.append(f"witness: {witness}")
+            payload["semiinf"]["witness"] = witness
     if args.coproduct in ("hopf", "both"):
         dims, oracle = primcom_dims(max_degree)
         match = dims == oracle

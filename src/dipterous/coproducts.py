@@ -26,18 +26,27 @@ delta_1 is computed, cached per basis key like the idempotent, except in
 the top degree of one ``filtration_dims`` call: no lower degree reads those
 images, so each is built by one uncached ``delta_step`` from a split pair
 of ``freealg.split_pairs``, over the cached images of its halves, and freed
-once ranked. That degree's keys, forests and trees are never built.
+once read. That degree's keys, forests and trees are never built.
+
+The primitive dimensions need no elimination. Delta_1 is unitriangular on
+the star keys, the forests T1 * R of two or more trees: T1 (x) R has
+coefficient 1 in delta_1(T1 * R), and every other term with a single-tree
+left factor comes from delta_1(T1), so its tree is smaller. Once the row of
+every single-tree key reduces to 0 against the star rows, dim Prim_n is the
+number of planar trees, in exact integer arithmetic: a leading-term
+(Groebner-type) argument, as in Dotsenko-Khoroshkin, "Groebner bases for
+operads" (Duke Math. J. 153, 2010).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import starmap
 from typing import NamedTuple, Sequence
 
 from .linalg import (
     LinComb,
+    as_scalar,
     kernel_of_operator,
     linear,
     map_slot,
@@ -56,7 +65,7 @@ from .freealg import (
     succ_basis,
 )
 from .series import composition_sum
-from .trees import LEAF, Forest, PlanarTree, corolla, enumerate_trees
+from .trees import LEAF, Forest, PlanarTree, corolla
 
 
 def delta_step(op: str, left: DiptBasis, right: DiptBasis) -> LinComb:
@@ -71,7 +80,11 @@ def delta_step(op: str, left: DiptBasis, right: DiptBasis) -> LinComb:
         k = (star_basis(left, a), b)
         out[k] = out.get(k, 0) + c
     out[left, right] = out.get((left, right), 0) + 1
-    return LinComb(out)
+    # Every coefficient of delta_1 is a positive int, a sum of 1s, so no sum
+    # cancels, and the dict is a LinComb's terms without a normalising pass.
+    image = LinComb.__new__(LinComb)
+    image.terms = out
+    return image
 
 
 @cache
@@ -100,33 +113,131 @@ def delta_iter(x: LinComb, n: int) -> LinComb:
     return iterate(delta_basis, x, n)
 
 
+class CertificateFailure(Exception):
+    """A failed certificate: ``dims`` of the degrees below it, and the witness."""
+
+    def __init__(self, dims: list[int], witness: str):
+        super().__init__(witness)
+        self.dims, self.witness = dims, witness
+
+
 def filtration_dims(r: int, max_n: int, t: Fraction = Fraction(1)) -> list[int]:
     """Dimensions of the r-th filtration step of delta_t within degrees
     1..max_n. The iterates of delta_t = t * delta_1 lose no rank unless
-    t = 0.
+    t = 0, when every key counts.
 
-    For r = 1 the degrees are ranked in increasing order, so the cached
-    images of degrees below max_n are in place when degree max_n >= 2 is
-    reached. That degree is counted from ``split_pairs(max_n)`` and ranked
-    from a second pass, by one ``delta_step`` each, and at t = 0 only
-    counted: its images never enter the cache, and its keys are never built.
+    For r = 1 and t != 0 each degree n >= 2 is certified by ``_certificate``,
+    in increasing order, so the cached images below max_n are in place for
+    max_n. That degree is read from ``split_pairs`` (``_delta_rows``): its
+    images never enter the cache, and its keys are never built. For r > 1
+    each degree is ranked.
     """
     if r < 1 or max_n < 1:
         raise ValueError("filtration level and degree must be >= 1")
     dims = []
     for n in range(1, max_n + 1):
-        if r == 1 and n == max_n >= 2:
-            size = sum(1 for _ in split_pairs(n))
-            images = starmap(delta_step, split_pairs(n))
+        if r == 1 and n >= 2 and t != 0:
+            dim, witness = _certificate(_delta_rows(n, top=n == max_n))
+            if witness:
+                raise CertificateFailure(dims, f"degree {n}: {witness}")
+        elif r == 1 and n == max_n >= 2:
+            dim = sum(1 for _ in split_pairs(n))
         else:
             basis = dipt_basis_of_degree(n)
-            size = len(basis)
-            if r == 1:
-                images = map(delta_basis, basis)
-            else:
-                images = (delta_iter(LinComb.basis(b), r) for b in basis)
-        dims.append(size if r >= n or t == 0 else size - operator_rank(images))
+            images = (delta_iter(LinComb.basis(b), r) for b in basis)
+            dim = len(basis) - (0 if r >= n or t == 0 else operator_rank(images))
+        dims.append(dim)
     return dims
+
+
+def _delta_rows(n: int, top: bool):
+    """``(is_star, key, delta_1 image)`` per degree-n key, star keys first;
+    the top degree's uncached images are keyed by their split pairs."""
+    if top:
+        return ((op == OP_STAR, (op, a, b), delta_step(op, a, b)) for op, a, b in split_pairs(n))
+    keys = sorted(dipt_basis_of_degree(n), key=lambda b: len(b.forest) == 1)
+    return ((len(b.forest) >= 2, b, delta_basis(b)) for b in keys)
+
+
+def _certificate(rows) -> tuple[int, str | None]:
+    """(number of succ keys, None) if delta_1 on one degree has the star
+    keys' count as its rank, else (count so far, witness).
+
+    Each star row needs a leading term: its one single-tree-left term of
+    largest left degree, nonzero, leading no other star row. Then the star
+    rows are independent, since in a nonzero combination a leading term of
+    largest left degree occurs in its own row only. Each succ row must
+    reduce to exactly 0 against them, so the rank is the star rows' count.
+    Unit leading coefficients keep every step in ``int``; a stored zero can
+    fail the certificate but never pass it.
+    """
+    pivots: dict = {}
+    succ = 0
+    for is_star, key, image in rows:
+        row = image.terms
+        if not is_star:
+            residual = _residual(row, pivots)
+            if residual:
+                return succ, f"succ key {_key_text(key)} leaves the residual {LinComb(residual)!r}"
+            succ += 1
+            continue
+        lead = _leading_term(row)
+        if lead is None or not row[lead]:
+            return succ, f"star key {_key_text(key)} has no leading term: {image!r}"
+        if lead in pivots:
+            return succ, f"star key {_key_text(key)} repeats the leading term {lead}: {image!r}"
+        pivots[lead] = row
+    return succ, None
+
+
+def _leading_term(row) -> tuple | None:
+    """The term of ``row`` with a single-tree left factor of largest degree,
+    or None if there is none or a tie."""
+    top, lead = 0, None
+    for k in row:
+        left = k[0]
+        if len(left.forest.trees) == 1:
+            d = left.degree
+            if d > top:
+                top, lead = d, k
+            elif d == top:
+                lead = None
+    return lead
+
+
+def _residual(row, pivots: dict) -> dict:
+    """``row`` reduced by the star rows led by its terms, largest left degree
+    first; a star row adds leading terms of smaller left degree only."""
+    res = dict(row)
+    heads: dict[int, list] = {}
+    for k in res:
+        if k in pivots:
+            heads.setdefault(k[0].degree, []).append(k)
+    while heads:
+        for k in heads.pop(max(heads)):
+            c = res.get(k)
+            if not c:
+                continue
+            prow = pivots[k]
+            f = c if prow[k] == 1 else as_scalar(Fraction(c) / prow[k])
+            # k itself cancels, as f * prow[k] == c.
+            for j, v in prow.items():
+                acc = res.get(j, 0) - f * v
+                if acc:
+                    if j not in res and j in pivots:
+                        heads.setdefault(j[0].degree, []).append(j)
+                    res[j] = acc
+                else:
+                    res.pop(j, None)
+    return res
+
+
+def _key_text(key) -> str:
+    """A key's text; a split ``(op, left, right)`` is multiplied out first."""
+    if isinstance(key, tuple):
+        op, left, right = key
+        key = (star_basis if op == OP_STAR else succ_basis)(left, right)
+    return str(key)
 
 
 def prim_basis(n: int) -> list[LinComb]:
@@ -155,11 +266,6 @@ def mag_tree_to_primitive(t: PlanarTree) -> LinComb:
     if t.is_leaf:
         return gen_elem()
     return bracket([mag_tree_to_primitive(c) for c in t.children])
-
-
-def mag_bracket_rank(n: int) -> int:
-    """Rank of the bracket images of all degree-n planar trees."""
-    return operator_rank(mag_tree_to_primitive(t) for t in enumerate_trees(n))
 
 
 def corolla_iso_check(n: int) -> bool:
@@ -243,6 +349,7 @@ class PbwReport(NamedTuple):
     forest_dims: tuple[int, ...]
     prim_dims: tuple[int, ...]
     composed: tuple[int, ...]
+    witness: str | None = None
 
     @property
     def ok(self) -> bool:
@@ -250,10 +357,16 @@ class PbwReport(NamedTuple):
 
 
 def pbw_dim_check(max_n: int) -> PbwReport:
-    """Forest dims must equal composition sums of computed primitive dims."""
+    """Forest dims must equal composition sums of computed primitive dims.
+
+    A failed certificate leaves the primitive dims of the degrees below it,
+    their composition sums, and its witness."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    prim = filtration_dims(1, max_n)
+    try:
+        prim, witness = filtration_dims(1, max_n), None
+    except CertificateFailure as exc:
+        prim, witness = exc.dims, exc.witness
     forests = [len(dipt_basis_of_degree(n)) for n in range(1, max_n + 1)]
-    composed = [composition_sum(prim, n) for n in range(1, max_n + 1)]
-    return PbwReport(tuple(forests), tuple(prim), tuple(composed))
+    composed = [composition_sum(prim, n) for n in range(1, len(prim) + 1)]
+    return PbwReport(tuple(forests), tuple(prim), tuple(composed), witness)

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from dipterous.linalg import LinComb, kernel_of_operator, operator_rank
 from dipterous.coproducts import (
+    _certificate,
+    _leading_term,
     asc_deconcat,
     bracket,
     corolla_iso_check,
@@ -16,7 +18,6 @@ from dipterous.coproducts import (
     delta_step,
     e_idempotent,
     filtration_dims,
-    mag_bracket_rank,
     mag_tree_to_primitive,
     pbw_dim_check,
     phi_corestrict,
@@ -142,7 +143,7 @@ def test_filtration_dim_counts_prim_basis(t):
 
 @pytest.mark.parametrize("t", [Fraction(1), Fraction(1, 2), Fraction(0)])
 def test_filtration_dims_match_the_key_path(t):
-    # The top degree is ranked from split pairs, the others from their
+    # The top degree is certified from split pairs, the others from their
     # keys; this oracle ranks every degree from its keys.
     def key_path(n):
         basis = dipt_basis_of_degree(n)
@@ -150,6 +151,42 @@ def test_filtration_dims_match_the_key_path(t):
 
     for max_n in range(1, 9):
         assert filtration_dims(1, max_n, t) == [key_path(n) for n in range(1, max_n + 1)]
+    if t == 1:
+        # One degree further, its 41,586 images built uncached from each
+        # key's split.
+        basis = dipt_basis_of_degree(9)
+        rank = operator_rank(delta_step(*b.split()) for b in basis)
+        assert filtration_dims(1, 9)[-1] == len(basis) - rank == 20793
+
+
+def test_each_star_row_is_led_by_its_split_pair():
+    # The certificate's leading term of Delta(T1 * R) is T1 (x) R, with
+    # coefficient 1; no other star row has it.
+    for n in range(2, 8):
+        stars = [b for b in dipt_basis_of_degree(n) if len(b.forest) >= 2]
+        for b in stars:
+            op, left, right = b.split()
+            row = delta_basis(b)
+            assert (op, _leading_term(row.terms)) == (OP_STAR, (left, right))
+            assert row.coeff((left, right)) == 1
+
+
+def test_the_certificate_takes_any_nonzero_pivot_and_no_stored_zero():
+    g = dipt_basis_of_degree(1)[0]
+    forest, tree = dipt_basis_of_degree(2)[::-1]
+    assert str(forest) == "[| |] @ aa" and len(tree.forest) == 1
+
+    def row(c):
+        image = LinComb.__new__(LinComb)
+        image.terms = {(g, g): c}
+        return image
+
+    assert _certificate([(True, forest, row(2)), (False, tree, row(3))]) == (1, None)
+    # A stored zero is no pivot, so the succ row cannot be reduced either.
+    assert _certificate([(True, forest, row(0)), (False, tree, row(1))]) == (
+        0,
+        "star key [| |] @ aa has no leading term: 0 ([|] @ a, [|] @ a)",
+    )
 
 
 def test_half_t_primitives_equal_t_one():
@@ -229,6 +266,11 @@ def test_bracket_degree_two_spans_prim():
         assert other != 0
         ratio = ratio or c / other
         assert c == ratio * other
+
+
+def mag_bracket_rank(n: int) -> int:
+    """Rank of the bracket images of all degree-n planar trees."""
+    return operator_rank(mag_tree_to_primitive(t) for t in enumerate_trees(n))
 
 
 def test_mag_bracket_ranks():

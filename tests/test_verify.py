@@ -1,5 +1,6 @@
 import ast
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -19,6 +20,7 @@ from dipterous.freealg import (
     succ_basis,
 )
 from dipterous.linalg import LinComb
+from dipterous.series import little_schroeder
 from dipterous.trees import nap_graft
 from dipterous.verify import (
     axioms_suite,
@@ -110,14 +112,15 @@ def test_compatibility_scan_reports_the_first_failing_pair(monkeypatch):
     assert calls[-2:] == [(OP_STAR, *pair), (OP_SUCC, *pair)]
 
 
-def mutant_step(middle=star_basis, top=1, first=None):
+def mutant_step(middle=star_basis, top=1, first=None, sign=1):
     """``delta_step`` with one term changed: the middle product, the
-    coefficient of x (x) y, or the first term's product for both ops."""
+    coefficient of x (x) y, the first term's product for both ops, or the
+    middle term's sign."""
     def step(op, left, right):
         op_basis = first or (star_basis if op == OP_STAR else succ_basis)
         delta_basis = coproducts.delta_basis
         acc = [((a, op_basis(b, right)), c) for (a, b), c in delta_basis(left).items()]
-        acc += [((middle(left, a), b), c) for (a, b), c in delta_basis(right).items()]
+        acc += [((middle(left, a), b), sign * c) for (a, b), c in delta_basis(right).items()]
         acc.append(((left, right), top))
         return LinComb(acc)
 
@@ -158,6 +161,71 @@ def test_a_wrong_defining_relation_fails_the_suites(monkeypatch, step, failing):
         coproducts.delta_basis.cache_clear()
     # The joint-primitive check is the documented negative finding.
     assert {c.name for c in checks if not c.ok} == failing | {JOINT}
+
+
+REPEATED = (
+    "degree 3: star key {} repeats the leading term ([(| |)] @ aa, [|] @ a):"
+    " ([(| |)] @ aa, [|] @ a) + ([|] @ a, {})"
+)
+
+
+@pytest.mark.parametrize(
+    ("step", "top", "below"),
+    [
+        (mutant_step(top=0), *["degree 2: star key [| |] @ aa has no leading term: 0"] * 2),
+        (
+            mutant_step(middle=succ_basis),
+            # The top degree streams its star keys in split order, the
+            # degrees below it in text order, so another key repeats first.
+            REPEATED.format("[| | |] @ aaa", "[| |] @ aa"),
+            REPEATED.format("[| (| |)] @ aaa", "[(| |)] @ aa"),
+        ),
+        (
+            mutant_step(sign=-1),
+            *["degree 3: succ key [(| | |)] @ aaa leaves the residual 2 ([| |] @ aa, [|] @ a)"] * 2,
+        ),
+    ],
+    ids=["top dropped", "middle succ", "middle negated"],
+)
+def test_a_wrong_relation_fails_the_certificate_with_a_witness(monkeypatch, capsys, step, top, below):
+    degree = int(top.split()[1].rstrip(":"))
+    coproducts.delta_basis.cache_clear()
+    monkeypatch.setattr(coproducts, "delta_step", step)
+    try:
+        # The failing degree as the top degree, read from split pairs, and
+        # below the top, read from the cached images.
+        for max_n, witness in ((degree, top), (6, below)):
+            with pytest.raises(coproducts.CertificateFailure) as info:
+                coproducts.filtration_dims(1, max_n)
+            assert (info.value.dims, info.value.witness) == (little_schroeder(degree - 1), witness)
+        assert main(["prim", "semiinf", "--max-degree", "6"]) == 1
+        assert capsys.readouterr().out.splitlines()[1:] == [f"witness: {below}"]
+        assert main(["prim", "semiinf", "--max-degree", "6", "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)["semiinf"]
+        assert payload == {
+            "dims": little_schroeder(degree - 1),
+            "reference": little_schroeder(6),
+            "match": False,
+            "witness": below,
+        }
+    finally:
+        coproducts.delta_basis.cache_clear()
+
+
+def test_pbw_tree_count_check_carries_the_certificate_witness(monkeypatch, capsys):
+    coproducts.delta_basis.cache_clear()
+    monkeypatch.setattr(coproducts, "delta_step", mutant_step(top=0))
+    try:
+        tree_counts, composition = pbw_suite(4)
+        assert main(["verify", "pbw", "--max-degree", "4"]) == 1
+    finally:
+        coproducts.delta_basis.cache_clear()
+    witness = "degree 2: star key [| |] @ aa has no leading term: 0"
+    assert tree_counts.witness == witness
+    # Only degree 1 is certified, so only its composition sum is known.
+    assert composition.witness == "(1, 2, 6, 22) vs (1,)"
+    out = capsys.readouterr().out
+    assert f"[FAIL] primitive dims are the tree counts -- witness: {witness}" in out
 
 
 def test_coassociativity_witness_names_t_and_the_first_failing_element(monkeypatch):
